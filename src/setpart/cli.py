@@ -3,9 +3,10 @@ Command-line front end.
 
 Subcommands: enumerate, stats, genfun, qstirling, phi, phi-i, motzkin,
 verify.  Flags ``--json`` and ``--threads`` are accepted by every
-subcommand (after the subcommand name).  Exit codes: 0 on success or a
-verified identity, 1 on a domain error or a failed verification, 2 on
-usage errors.
+subcommand (after the subcommand name); ``--threads`` must be at least 1
+and only spreads verification suites over processes.  Exit codes: 0 on
+success or a verified identity, 1 on a domain error or a failed
+verification, 2 on usage errors.
 
 Text outputs round-trip: enumerate and the bijection commands emit the
 partition grammar, motzkin emits the compact path text, genfun and
@@ -259,9 +260,6 @@ def cmd_verify(args) -> int:
     if args.n_max is not None and args.n_max < 0:
         print("error: --n-max must be non-negative", file=sys.stderr)
         return 2
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = [
         verify.run_suite(
@@ -294,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for verification and distribution sweeps",
+        help="worker processes for verification suites (default 1); other "
+        "subcommands accept it and run in one process",
     )
 
     parser = argparse.ArgumentParser(
@@ -409,6 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, bijections.ConsistencyError) as exc:

@@ -120,7 +120,10 @@ def _validate_blocks(blocks: Sequence[Iterable[int]]) -> list[list[int]]:
             if not isinstance(x, int) or x < 1:
                 raise PartitionError(f"element {x!r} in block {pos} is not a positive integer")
             if x in seen:
-                raise PartitionError(f"element {x} appears in blocks {seen[x]} and {pos}")
+                where = f"in blocks {seen[x]} and {pos}"
+                if seen[x] == pos:
+                    where = f"twice in block {pos}"
+                raise PartitionError(f"element {x} appears {where}")
             seen[x] = pos
         cleaned.append(items)
     n = len(seen)

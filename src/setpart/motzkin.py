@@ -114,15 +114,22 @@ class LabeledMotzkinPath:
 
     @classmethod
     def from_json_dict(cls, data) -> "LabeledMotzkinPath":
+        items = data.get("steps", []) if isinstance(data, dict) else None
+        if not isinstance(items, list):
+            raise PathError('a JSON path is an object with a "steps" list')
         steps = []
-        for item in data.get("steps", []):
-            steps.append(
-                Step(
-                    kind=item["kind"],
-                    label=int(item["label"]),
-                    starred=bool(item.get("starred", False)),
-                )
-            )
+        for idx, item in enumerate(items, start=1):
+            if not isinstance(item, dict):
+                raise PathError(f"step {idx}: not an object")
+            for key in ("kind", "label"):
+                if key not in item:
+                    raise PathError(f"step {idx}: missing {key!r}")
+            label, starred = item["label"], item.get("starred", False)
+            if type(label) is not int:
+                raise PathError(f"step {idx}: label {label!r} is not an integer")
+            if type(starred) is not bool:
+                raise PathError(f"step {idx}: starred {starred!r} is not true or false")
+            steps.append(Step(kind=item["kind"], label=label, starred=starred))
         return cls(tuple(steps))
 
     _STEP = re.compile(r"^(NE|SE|E)\((\d+)(\*?)\)$")
@@ -134,7 +141,11 @@ class LabeledMotzkinPath:
         if not stripped:
             return cls(())
         if stripped.startswith("{"):
-            return cls.from_json_dict(json.loads(stripped))
+            try:
+                data = json.loads(stripped)
+            except RecursionError:
+                raise PathError("path JSON is nested too deeply") from None
+            return cls.from_json_dict(data)
         steps = []
         for token in stripped.split():
             m = cls._STEP.match(token)

@@ -20,7 +20,6 @@ in a dense tuple; the sparse mapping appears only at the boundary.
 from __future__ import annotations
 
 import re
-import threading
 from typing import Callable, Iterable, Mapping
 
 from . import core
@@ -233,7 +232,6 @@ def q_factorial(k: int) -> QPolynomial:
 
 
 _STIRLING_CACHE: dict[tuple[int, int], QPolynomial] = {}
-_STIRLING_LOCK = threading.Lock()
 
 
 def q_stirling(n: int, k: int) -> QPolynomial:
@@ -246,21 +244,20 @@ def q_stirling(n: int, k: int) -> QPolynomial:
         return _STIRLING_CACHE[(n, k)]
     except KeyError:
         pass
-    with _STIRLING_LOCK:
-        for m in range(0, n + 1):
-            for j in range(0, min(m, k) + 1):
-                if (m, j) in _STIRLING_CACHE:
-                    continue
-                if m == 0 or j == 0:
-                    val = QPolynomial.one() if m == j else QPolynomial.zero()
-                elif j > m:
-                    val = QPolynomial.zero()
-                else:
-                    left = _STIRLING_CACHE.get((m - 1, j - 1), QPolynomial.zero())
-                    right = _STIRLING_CACHE.get((m - 1, j), QPolynomial.zero())
-                    val = left.shift(j - 1) + q_int(j) * right
-                _STIRLING_CACHE[(m, j)] = val
-        return _STIRLING_CACHE[(n, k)]
+    for m in range(0, n + 1):
+        for j in range(0, min(m, k) + 1):
+            if (m, j) in _STIRLING_CACHE:
+                continue
+            if m == 0 or j == 0:
+                val = QPolynomial.one() if m == j else QPolynomial.zero()
+            elif j > m:
+                val = QPolynomial.zero()
+            else:
+                left = _STIRLING_CACHE.get((m - 1, j - 1), QPolynomial.zero())
+                right = _STIRLING_CACHE.get((m - 1, j), QPolynomial.zero())
+                val = left.shift(j - 1) + q_int(j) * right
+            _STIRLING_CACHE[(m, j)] = val
+    return _STIRLING_CACHE[(n, k)]
 
 
 def shifted_stirling(n: int, k: int) -> QPolynomial:

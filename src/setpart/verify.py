@@ -1,6 +1,6 @@
 """
 Exhaustive verification suites over all partitions at desk scale, plus a
-fast single-pass enumerator for the distribution of mak.
+polynomial-time transfer DP for the distribution of mak.
 
 Each suite decomposes into independent (n, k) cells, so the work can be
 spread over processes with ``threads``; cell results are merged in task
@@ -34,10 +34,12 @@ Suite names are fixed CLI vocabulary:
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add, sub
 
 from . import bijections, core, motzkin, stats
 from .qseries import QPolynomial, q_factorial, q_int, q_stirling
@@ -123,109 +125,73 @@ def stirling2(n: int, k: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# fast mak sweep
+# mak distribution by a transfer DP over path states
 # ----------------------------------------------------------------------
 
 
-def _sweep(n: int, hists: list[list[int]], i: int, h: int, opened: int, acc: int) -> None:
-    # Depth-first over trace profiles; each leaf is one partition, with
-    # mak accumulated incrementally: a closer at height h with label g
-    # contributes (h - g) + (n - i), a passant (h - g), a singleton
-    # (n - i), an opener nothing.
-    if i > n:
-        hists[opened][acc] += 1
-        return
-    rem = n - i
-    nxt = i + 1
-    if h:
-        cacc = acc + rem
-        hm1 = h - 1
-        for d in range(h):  # d = h - g
-            _sweep(n, hists, nxt, hm1, opened, cacc + d)
-        if h <= rem:
-            for d in range(h):
-                _sweep(n, hists, nxt, h, opened, acc + d)
-    if h <= rem:
-        _sweep(n, hists, nxt, h, opened + 1, acc + rem)
-    if h + 1 <= rem:
-        _sweep(n, hists, nxt, h + 1, opened + 1, acc)
+def _box(row: list[int], h: int) -> list[int]:
+    # Coefficients of row * (1 + q + ... + q^(h-1)) as a running window
+    # sum: each entry adds the coefficient entering the window and drops
+    # the one leaving it.
+    return list(accumulate(map(sub, row + [0] * (h - 1), [0] * h + row)))
 
 
-def _sweep_prefixes(
-    n: int, depth: int, i: int, h: int, opened: int, acc: int,
-    out: list[tuple[int, int, int, int]], hists: list[list[int]],
+def _add_shifted(
+    states: dict[tuple[int, int], list[int]], key: tuple[int, int], row: list[int], shift: int
 ) -> None:
-    # Expand the same tree to a fixed depth, collecting continuation
-    # states; early leaves are tallied directly.
-    if i > n:
-        hists[opened][acc] += 1
+    # states[key] += q^shift * row
+    acc = states.get(key)
+    if acc is None:
+        states[key] = [0] * shift + row
         return
-    if i > depth:
-        out.append((i, h, opened, acc))
-        return
-    rem = n - i
-    nxt = i + 1
-    if h:
-        cacc = acc + rem
-        for d in range(h):
-            _sweep_prefixes(n, depth, nxt, h - 1, opened, cacc + d, out, hists)
-        if h <= rem:
-            for d in range(h):
-                _sweep_prefixes(n, depth, nxt, h, opened, acc + d, out, hists)
-    if h <= rem:
-        _sweep_prefixes(n, depth, nxt, h, opened + 1, acc + rem, out, hists)
-    if h + 1 <= rem:
-        _sweep_prefixes(n, depth, nxt, h + 1, opened + 1, acc, out, hists)
-
-
-def _new_hists(n: int) -> list[list[int]]:
-    return [[0] * (n * (n - 1) + 1) for _ in range(n + 1)]
-
-
-def _sweep_task(args: tuple[int, int, int, int, int]) -> list[list[int]]:
-    n, i, h, opened, acc = args
-    hists = _new_hists(n)
-    _sweep(n, hists, i, h, opened, acc)
-    return hists
+    end = shift + len(row)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[shift:end] = map(add, acc[shift:end], row)
 
 
 def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
     """Coefficient lists of the mak distribution over the k-block
-    partitions of [n], for every k, by exhaustive profile enumeration.
+    partitions of [n], for every k, by a transfer DP over labeled
+    Motzkin-path states.
 
     ``mak_histograms(n)[k][m]`` is the number of partitions of [n] into
-    k blocks with mak equal to m.  Trailing zeros are trimmed.
+    k blocks with mak equal to m.  Trailing zeros are trimmed and empty
+    rows left out.
+
+    A state is (h, blocks opened) after a prefix of the path; it carries
+    the mak coefficient list summed over all prefixes that reach it.
+    Step i, with rem = n - i elements still to come, adds to mak
+    rem + d for a closer, d for a passant (d = h - label ranging over
+    0..h-1), rem for a singleton and nothing for an opener.  The work is
+    polynomial in n instead of Bell(n).  ``threads`` is accepted for
+    compatibility and ignored.
     """
     if n < 0:
         raise core.PartitionError("n must be non-negative")
-    hists = _new_hists(n)
-    if n == 0:
-        hists[0][0] = 1
-    elif threads <= 1 or n < 6:
-        _sweep(n, hists, 1, 0, 0, 0)
-    else:
-        prefixes: list[tuple[int, int, int, int]] = []
-        _sweep_prefixes(n, 4, 1, 0, 0, 0, prefixes, hists)
-        tasks = [(n, i, h, opened, acc) for (i, h, opened, acc) in prefixes]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * threads))):
-                for k in range(n + 1):
-                    row = hists[k]
-                    for m, c in enumerate(part[k]):
-                        if c:
-                            row[m] += c
-    out: dict[int, list[int]] = {}
-    for k in range(n + 1):
-        row = hists[k]
-        while row and row[-1] == 0:
-            row.pop()
-        if row:
-            out[k] = row
-    return out
+    states: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
+    for i in range(1, n + 1):
+        rem = n - i
+        nxt: dict[tuple[int, int], list[int]] = {}
+        for (h, opened), row in states.items():
+            if h:
+                box = _box(row, h)
+                _add_shifted(nxt, (h - 1, opened), box, rem)  # closer
+                if h <= rem:
+                    _add_shifted(nxt, (h, opened), box, 0)  # passant
+            if h <= rem:
+                _add_shifted(nxt, (h, opened + 1), row, rem)  # singleton
+            if h < rem:
+                _add_shifted(nxt, (h + 1, opened + 1), row, 0)  # opener
+        states = nxt
+    # Every surviving state ends at height 0; rows only ever grow by
+    # non-negative terms ending in a non-zero one, so none needs trimming.
+    return {k: states[(0, k)] for k in sorted(k for _, k in states)}
 
 
 def mak_polynomial(n: int, k: int, threads: int = 1) -> QPolynomial:
-    """The mak generating function over the k-block partitions of [n]."""
+    """The mak generating function over the k-block partitions of [n].
+    ``threads`` is ignored, as in ``mak_histograms``."""
     return QPolynomial(mak_histograms(n, threads=threads).get(k, []))
 
 
@@ -655,6 +621,12 @@ def _suite_tasks(name: str, n_max: int) -> list[tuple[str, tuple]]:
     raise ValueError(f"unknown suite {name!r}")
 
 
+def _worker_count(threads: int, cpus: int | None, tasks: int) -> int:
+    """Processes worth starting: no more than requested, than there are
+    CPUs (1 when unknown) or than there are tasks, and at least one."""
+    return max(1, min(threads, cpus or 1, tasks))
+
+
 def run_suite(
     name: str,
     n_max: int | None = None,
@@ -668,10 +640,13 @@ def run_suite(
         n_max = SUITE_DEFAULT_N_MAX[name]
     tasks = _suite_tasks(name, n_max)
     start = time.perf_counter()
-    if threads <= 1 or len(tasks) <= 1:
+    workers = _worker_count(threads, os.cpu_count(), len(tasks))
+    if workers == 1:
         results = [_run_cell(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, tasks))
     cases = 0
     failures: list[Failure] = []

@@ -347,6 +347,18 @@ def test_motzkin_bad_path_text(capsys):
     assert err.startswith("error:")
 
 
+def test_motzkin_bad_path_json(capsys):
+    for path in (
+        '{"steps":[{"kind":"NE"}]}',
+        '{"steps":[{"kind":"UP","label":1}]}',
+        '{"steps":7}',
+    ):
+        code, out, err = run(["motzkin", "--decode", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
@@ -378,6 +390,24 @@ def test_verify_bad_flags(capsys):
     assert err.startswith("error:")
 
 
+def test_threads_below_one_rejected_by_every_subcommand(capsys):
+    for argv in (
+        ["enumerate", "-n", "2"],
+        ["stats", "1,2"],
+        ["genfun", "-n", "3"],
+        ["qstirling", "-n", "3"],
+        ["phi", "1,2"],
+        ["phi-i", "1/2", "-i", "1"],
+        ["motzkin", "1,2"],
+        ["verify", "theorem2", "--n-max", "2"],
+    ):
+        for bad in ("0", "-5"):
+            code, out, err = run(argv + ["--threads", bad], capsys)
+            assert code == 2, argv
+            assert out == ""
+            assert err == "error: --threads must be at least 1\n"
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch"])
@@ -393,6 +423,12 @@ def test_missing_subcommand():
 # ----------------------------------------------------------------------
 # error handling and process entry
 # ----------------------------------------------------------------------
+
+
+def test_repeated_element_wording(capsys):
+    code, _, err = run(["stats", "1,1"], capsys)
+    assert code == 1
+    assert err.startswith("error: element 1 appears twice in block 1")
 
 
 def test_domain_error_exit_code(capsys):

@@ -120,6 +120,26 @@ def test_json_round_trip():
     assert LabeledMotzkinPath.parse(json.dumps(path.to_json_dict())) == path
 
 
+def test_json_errors_are_path_errors():
+    ne = {"kind": "NE", "label": 1}
+    for data, message in (
+        ({"steps": [{"kind": "NE"}]}, "step 1: missing 'label'"),
+        ({"steps": [{"label": 1}]}, "step 1: missing 'kind'"),
+        ({"steps": [ne, {"kind": "XX", "label": 1}]}, "step 2: unknown kind 'XX'"),
+        ({"steps": [{"kind": "NE", "label": "1"}]}, "not an integer"),
+        ({"steps": [{"kind": "NE", "label": 1.0}]}, "not an integer"),
+        ({"steps": [{"kind": "NE", "label": 1, "starred": "no"}]}, "not true or false"),
+        ({"steps": [1]}, "step 1: not an object"),
+        ({"steps": {}}, "steps"),
+        ([ne], "steps"),
+        ("NE(1)", "steps"),
+    ):
+        with pytest.raises(PathError, match=message):
+            LabeledMotzkinPath.from_json_dict(data)
+    with pytest.raises(PathError, match="nested too deeply"):
+        LabeledMotzkinPath.parse('{"steps": ' + "[" * 100_000)
+
+
 def test_enumerate_paths_rejects_negative_length():
     with pytest.raises(PathError):
         list(enumerate_paths(-1))

@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from setpart.qseries import QPolynomial, generating_function, q_stirling
-from setpart.core import enumerate_partitions
+from setpart.core import PartitionError, enumerate_partitions
 from setpart.verify import (
     SUITE_DEFAULT_N_MAX,
     SUITE_NAMES,
@@ -14,6 +14,7 @@ from setpart.verify import (
     run_all,
     run_suite,
     stirling2,
+    _worker_count,
 )
 
 
@@ -110,6 +111,46 @@ def test_mak_histograms_match_both_routes():
 def test_mak_histograms_thread_invariance():
     assert mak_histograms(8, threads=3) == mak_histograms(8, threads=1)
     assert mak_histograms(2, threads=4) == mak_histograms(2)
+
+
+def test_mak_dp_matches_enumeration_for_every_k():
+    for n in range(9):
+        hists = mak_histograms(n)
+        for k in range(n + 1):
+            slow = generating_function(enumerate_partitions(n, k), "mak")
+            assert QPolynomial(hists.get(k, [])) == slow, (n, k)
+
+
+def test_mak_dp_matches_q_stirling_at_larger_n():
+    for n in (20, 30):
+        hists = mak_histograms(n)
+        assert sorted(hists) == list(range(1, n + 1))
+        for k in range(n + 1):
+            assert QPolynomial(hists.get(k, [])) == q_stirling(n, k), (n, k)
+        if n == 30:
+            assert sum(sum(row) for row in hists.values()) == bell_number(30)
+
+
+def test_mak_dp_return_contract():
+    assert mak_histograms(0) == {0: [1]}
+    with pytest.raises(PartitionError):
+        mak_histograms(-1)
+    hists = mak_histograms(10)
+    assert list(hists) == sorted(hists)
+    assert all(row and row[-1] for row in hists.values())
+    for threads in (0, 2, 64):
+        assert mak_histograms(10, threads=threads) == hists
+        assert mak_polynomial(10, 4, threads=threads) == QPolynomial(hists[4])
+
+
+def test_worker_count_is_clamped():
+    assert _worker_count(1, 8, 100) == 1
+    assert _worker_count(4, 2, 100) == 2
+    assert _worker_count(4, 8, 3) == 3
+    assert _worker_count(10**9, 2, 10**6) == 2
+    assert _worker_count(4, None, 100) == 1
+    assert _worker_count(4, 8, 0) == 1
+    assert _worker_count(0, 8, 100) == 1
 
 
 def test_mak_polynomial():
