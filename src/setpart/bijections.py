@@ -33,12 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    ElementClassification,
     Kind,
-    OrderedSetPartition,
-    Partition,
     PartitionError,
     ProfileError,
     SetPartition,
+    TraceProfile,
+    _require_canonical,
     classify,
     rebuild_from_profile,
     trace_profile,
@@ -85,15 +86,9 @@ class PhiCertificate:
         }
 
 
-def _require_canonical(p: Partition, name: str) -> SetPartition:
-    if isinstance(p, OrderedSetPartition):
-        raise PartitionError(f"{name} is defined on canonically ordered partitions only")
-    return p
-
-
 def phi_certificate(p: SetPartition) -> PhiCertificate:
     """The involution applied to ``p``, with its gamma matrices."""
-    p = _require_canonical(p, "phi")
+    p = _require_canonical(p, "phi is defined on canonically ordered partitions only")
     n = p.n
     cls = classify(p)
     profile = trace_profile(p)
@@ -108,7 +103,7 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
     new_closers = mirror(cls.opener_nonsingletons)
     new_passants = mirror(p_values)
 
-    matching = match_openers_closers(p)
+    matching = _level_matching(cls, profile)
     gamma_at = {n + 1 - a: profile.gamma[c - 1] for a, c in matching.items()}
     gamma_at.update((n + 1 - q, profile.gamma[q - 1]) for q in p_values)
 
@@ -170,7 +165,7 @@ def phi_i(p: SetPartition, i: int) -> SetPartition:
     identity when max(B_i) < g and otherwise moves T onto C leaving
     B_i without its tail.
     """
-    p = _require_canonical(p, "phi_i")
+    p = _require_canonical(p, "phi_i is defined on canonically ordered partitions only")
     if not 1 <= i <= p.k - 1:
         raise PartitionError(f"block index {i} outside 1..{p.k - 1}")
     blocks = [list(b) for b in p.blocks]
@@ -195,15 +190,7 @@ def phi_i(p: SetPartition, i: int) -> SetPartition:
     return image
 
 
-def match_openers_closers(p: SetPartition) -> dict[int, int]:
-    """Greedy level matching of non-singleton openers to closers.
-
-    Openers are processed in increasing order; opener a takes the
-    smallest unused non-singleton closer a' with l_{a'} = l_a + 1.
-    """
-    p = _require_canonical(p, "match_openers_closers")
-    cls = classify(p)
-    profile = trace_profile(p)
+def _level_matching(cls: ElementClassification, profile: TraceProfile) -> dict[int, int]:
     available: dict[int, list[int]] = {}
     for c in cls.closer_nonsingletons:
         available.setdefault(profile.l[c - 1], []).append(c)
@@ -217,3 +204,15 @@ def match_openers_closers(p: SetPartition) -> dict[int, int]:
             raise ConsistencyError(f"no closer left at level {level} for opener {a}")
         matching[a] = bucket.pop()
     return matching
+
+
+def match_openers_closers(p: SetPartition) -> dict[int, int]:
+    """Greedy level matching of non-singleton openers to closers.
+
+    Openers are processed in increasing order; opener a takes the
+    smallest unused non-singleton closer a' with l_{a'} = l_a + 1.
+    """
+    p = _require_canonical(
+        p, "match_openers_closers is defined on canonically ordered partitions only"
+    )
+    return _level_matching(classify(p), trace_profile(p))

@@ -94,6 +94,11 @@ def cmd_stats(args) -> int:
     return 0
 
 
+# Largest n that genfun accepts: the mak DP's state grows about as n^4
+# integers, and every other statistic walks all Bell(n) partitions.
+GENFUN_N_MAX = 64
+
+
 def _first_difference(got: QPolynomial, want: QPolynomial) -> tuple[int, int, int]:
     for e in range(max(got.degree, want.degree) + 1):
         if got.coefficient(e) != want.coefficient(e):
@@ -105,6 +110,9 @@ def cmd_genfun(args) -> int:
     n = args.n
     if n < 0:
         print("error: n must be non-negative", file=sys.stderr)
+        return 2
+    if n > GENFUN_N_MAX:
+        print(f"error: n must be at most {GENFUN_N_MAX}", file=sys.stderr)
         return 2
     if args.k == "all" or args.k is None:
         ks = list(range(0, 1) if n == 0 else range(1, n + 1))
@@ -118,7 +126,7 @@ def cmd_genfun(args) -> int:
         all_mode = False
 
     fast = args.stat == "mak" and not args.ordered
-    hists = verify.mak_histograms(n, threads=args.threads) if fast else None
+    hists = verify.mak_histograms(n) if fast else None
 
     def genfun_for(k: int) -> QPolynomial:
         if hists is not None:

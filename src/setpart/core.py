@@ -30,12 +30,19 @@ equals its block and incomplete otherwise.  For each element i,
 
 The pair sequence (kind_i, gamma_i) determines the partition uniquely;
 ``rebuild_from_profile`` inverts ``trace_profile``.
+
+Both read the restricted growth word once from left to right, keeping
+the indices of the incomplete blocks as a sorted list: l_i is its
+length before element i, and gamma_i is one plus the position of i's
+block in it.  An opener or singleton starts a new rightmost block, a
+closer leaves the list.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -46,10 +53,12 @@ class PartitionError(ValueError):
 
 
 class ParseError(PartitionError):
-    """Unparsable partition text; ``position`` is the 0-based offset."""
+    """Unparsable partition text; ``position`` is the 0-based offset of
+    the offending character, or None when the text parses but its blocks
+    do not form a partition."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (position {position})")
         self.position = position
 
 
@@ -109,6 +118,14 @@ def _blocks_from_word(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks)
 
 
+def _word_from_blocks(blocks: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    word = [0] * sum(len(b) for b in blocks)
+    for idx, block in enumerate(blocks, start=1):
+        for x in block:
+            word[x - 1] = idx
+    return tuple(word)
+
+
 def _validate_blocks(blocks: Sequence[Iterable[int]]) -> list[list[int]]:
     cleaned = []
     seen: dict[int, int] = {}
@@ -161,12 +178,7 @@ class SetPartition:
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
         cleaned = _validate_blocks(blocks)
         cleaned.sort(key=lambda b: b[0])
-        n = sum(len(b) for b in cleaned)
-        word = [0] * n
-        for idx, block in enumerate(cleaned, start=1):
-            for x in block:
-                word[x - 1] = idx
-        return cls(tuple(word))
+        return cls(_word_from_blocks(cleaned))
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -214,12 +226,7 @@ class OrderedSetPartition:
 
     @cached_property
     def word(self) -> tuple[int, ...]:
-        n = sum(len(b) for b in self.blocks)
-        word = [0] * n
-        for idx, block in enumerate(self.blocks, start=1):
-            for x in block:
-                word[x - 1] = idx
-        return tuple(word)
+        return _word_from_blocks(self.blocks)
 
     @property
     def n(self) -> int:
@@ -296,7 +303,7 @@ def parse_ordered(text: str) -> OrderedSetPartition:
     try:
         return OrderedSetPartition.from_blocks(blocks)
     except PartitionError as exc:
-        raise ParseError(str(exc), 0) from exc
+        raise ParseError(str(exc)) from exc
 
 
 def parse_partition(text: str) -> SetPartition:
@@ -309,7 +316,7 @@ def parse_partition(text: str) -> SetPartition:
     try:
         return SetPartition.from_blocks(blocks)
     except PartitionError as exc:
-        raise ParseError(str(exc), 0) from exc
+        raise ParseError(str(exc)) from exc
 
 
 def parse_rgf(text: str) -> RgfWord:
@@ -373,37 +380,40 @@ class TraceProfile:
     gamma: tuple[int, ...]
 
 
-def _kind_of(block: Sequence[int], i: int) -> Kind:
-    if len(block) == 1:
-        return Kind.SINGLETON
-    if i == block[0]:
-        return Kind.OPENER
-    if i == block[-1]:
-        return Kind.CLOSER
-    return Kind.PASSANT
+def _require_canonical(p: Partition, message: str) -> SetPartition:
+    """``p`` itself when its blocks are in canonical order; otherwise a
+    PartitionError carrying ``message``."""
+    if isinstance(p, SetPartition):
+        return p
+    raise PartitionError(message)
 
 
 def trace_profile(p: SetPartition) -> TraceProfile:
-    """Kinds plus (l_i, gamma_i) for each element of a canonical partition.
-
-    A block B is incomplete in T_i when min(B) <= i < max(B); the test
-    compares against the stored maximum, never a mutable flag.
-    """
-    if isinstance(p, OrderedSetPartition):
-        raise PartitionError("trace profiles are defined on canonical partitions")
-    blocks = p.blocks
-    mins = [b[0] for b in blocks]
-    maxs = [b[-1] for b in blocks]
+    """Kinds plus (l_i, gamma_i) for each element of a canonical partition,
+    in one left-to-right pass over its word."""
+    word = _require_canonical(p, "trace profiles are defined on canonical partitions").word
+    last = {letter: i for i, letter in enumerate(word)}
+    incomplete: list[int] = []  # indices of the incomplete blocks, ascending
     kinds, ls, gammas = [], [], []
-    for i in range(1, p.n + 1):
-        j = p.word[i - 1]  # 1-based block index of i
-        li = sum(1 for t in range(len(blocks)) if mins[t] <= i - 1 < maxs[t])
-        # blocks left of i's block are exactly those with smaller index,
-        # and all of them are present (non-empty) in T_i
-        gi = 1 + sum(1 for t in range(j - 1) if maxs[t] > i)
-        kinds.append(_kind_of(blocks[j - 1], i))
-        ls.append(li)
-        gammas.append(gi)
+    top = 0
+    for i, letter in enumerate(word):
+        ls.append(len(incomplete))
+        if letter > top:
+            top = letter
+            gammas.append(len(incomplete) + 1)
+            if last[letter] == i:
+                kinds.append(Kind.SINGLETON)
+            else:
+                kinds.append(Kind.OPENER)
+                incomplete.append(letter)
+        else:
+            pos = bisect_left(incomplete, letter)
+            gammas.append(pos + 1)
+            if last[letter] == i:
+                kinds.append(Kind.CLOSER)
+                del incomplete[pos]
+            else:
+                kinds.append(Kind.PASSANT)
     return TraceProfile(kinds=tuple(kinds), l=tuple(ls), gamma=tuple(gammas))
 
 
@@ -417,34 +427,31 @@ def rebuild_from_profile(kinds: Sequence[Kind], gamma: Sequence[int]) -> SetPart
     """
     if len(kinds) != len(gamma):
         raise ProfileError("kinds and gamma have different lengths")
-    blocks: list[list[int]] = []
-    open_flags: list[bool] = []
+    word: list[int] = []
+    incomplete: list[int] = []  # indices of the incomplete blocks, ascending
+    top = 0
     for i, (kind, g) in enumerate(zip(kinds, gamma), start=1):
-        incomplete = sum(open_flags)
+        count = len(incomplete)
         if kind in (Kind.OPENER, Kind.SINGLETON):
-            if g != incomplete + 1:
+            if g != count + 1:
                 raise ProfileError(
-                    f"element {i}: a new block must carry gamma {incomplete + 1}, got {g}"
+                    f"element {i}: a new block must carry gamma {count + 1}, got {g}"
                 )
-            blocks.append([i])
-            open_flags.append(kind is Kind.OPENER)
+            top += 1
+            word.append(top)
+            if kind is Kind.OPENER:
+                incomplete.append(top)
         else:
-            if not 1 <= g <= incomplete:
+            if not 1 <= g <= count:
                 raise ProfileError(
-                    f"element {i}: gamma {g} outside the {incomplete} incomplete blocks"
+                    f"element {i}: gamma {g} outside the {count} incomplete blocks"
                 )
-            seen = 0
-            for t, is_open in enumerate(open_flags):
-                if is_open:
-                    seen += 1
-                    if seen == g:
-                        blocks[t].append(i)
-                        if kind is Kind.CLOSER:
-                            open_flags[t] = False
-                        break
-    if any(open_flags):
+            word.append(incomplete[g - 1])
+            if kind is Kind.CLOSER:
+                del incomplete[g - 1]
+    if incomplete:
         raise ProfileError("profile ends with unclosed blocks")
-    return SetPartition.from_blocks(blocks)
+    return SetPartition(tuple(word))
 
 
 def _rgf_words(n: int, k: int | None) -> Iterator[tuple[int, ...]]:

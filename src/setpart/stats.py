@@ -23,6 +23,12 @@ On canonically ordered blocks lob vanishes, mak = lmakp and makp = lmak
 pointwise, and the generating function of each over the partitions of
 [n] into k blocks is the q-Stirling number S_q(n, k).
 
+``coord_sums_all`` finds all eight sums in one left-to-right pass over
+w, keeping per-block counts of the openers, closers and elements seen so
+far; each (element, reference) pair is counted when the later of the
+two is reached.  Each sum is counted on its own, never derived from the
+others, so the identities above remain checks of the counts.
+
 Element-level inversion counts, for b in block j:
 
     rinv(b)  = #{a in later blocks  : a < b}
@@ -48,11 +54,10 @@ import enum
 from typing import Callable
 
 from .core import (
-    ElementClassification,
-    OrderedSetPartition,
     Partition,
     PartitionError,
     SetPartition,
+    _require_canonical,
     classify,
 )
 
@@ -82,20 +87,15 @@ class CoordKind(enum.Enum):
         return self.value[2]
 
 
-def _references(p: Partition, kind: CoordKind, cls: ElementClassification | None = None):
-    if cls is None:
-        cls = classify(p)
-    return cls.openers if kind.reference == "opener" else cls.closers
-
-
 def coord_stat(p: Partition, kind: CoordKind, i: int) -> int:
     """The per-element coordinate count for element i."""
     if not 1 <= i <= p.n:
         raise PartitionError(f"element {i} outside 1..{p.n}")
+    cls = classify(p)
     w = p.word
     wi = w[i - 1]
     total = 0
-    for j in _references(p, kind):
+    for j in cls.openers if kind.reference == "opener" else cls.closers:
         if (j < i) != (kind.comparison == "smaller"):
             continue
         if j == i:
@@ -113,50 +113,59 @@ def coord_sum(p: Partition, kind: CoordKind) -> int:
 
 
 def coord_sums_all(p: Partition) -> dict[CoordKind, int]:
-    """All eight coordinate sums in one sweep over (element, reference) pairs."""
+    """All eight coordinate sums in one left-to-right pass over the word."""
     w = p.word
-    cls = classify(p)
-    totals = dict.fromkeys(CoordKind, 0)
-    pairs = (
-        (cls.openers, CoordKind.ROS, CoordKind.ROB, CoordKind.LOS, CoordKind.LOB),
-        (cls.closers, CoordKind.RCS, CoordKind.RCB, CoordKind.LCS, CoordKind.LCB),
+    last = {b: i for i, b in enumerate(w)}
+    seen = [0] * (p.k + 1)  # elements of each block seen so far
+    opened = [0] * (p.k + 1)  # 1 once the block's opener was seen
+    closed = [0] * (p.k + 1)  # 1 once the block's closer was seen
+    ros = rob = rcs = rcb = los = lob = lcs = lcb = 0
+    for i, b in enumerate(w):
+        # the element at hand against earlier references ("smaller")
+        ros += sum(opened[b + 1 :])
+        los += sum(opened[:b])
+        rcs += sum(closed[b + 1 :])
+        lcs += sum(closed[:b])
+        # the element at hand as a reference for earlier elements ("bigger")
+        if not seen[b]:
+            rob += sum(seen[:b])
+            lob += sum(seen[b + 1 :])
+            opened[b] = 1
+        if last[b] == i:
+            rcb += sum(seen[:b])
+            lcb += sum(seen[b + 1 :])
+            closed[b] = 1
+        seen[b] += 1
+    # CoordKind lists its members in exactly this order
+    return dict(zip(CoordKind, (ros, rob, rcs, rcb, los, lob, lcs, lcb)))
+
+
+def four_stats(p: Partition) -> tuple[int, int, int, int]:
+    """(mak, makp, lmak, lmakp) from a single ``coord_sums_all`` call."""
+    t = coord_sums_all(p)
+    norm = p.n * (p.k - 1) if p.k else 0
+    return (
+        t[CoordKind.ROS] + t[CoordKind.LCS],
+        t[CoordKind.LOB] + t[CoordKind.RCB],
+        norm - (t[CoordKind.LOS] + t[CoordKind.RCS]),
+        norm - (t[CoordKind.LCB] + t[CoordKind.ROB]),
     )
-    for i in range(1, p.n + 1):
-        wi = w[i - 1]
-        for refs, rs, rb, ls, lb in pairs:
-            for j in refs:
-                if j == i:
-                    continue
-                wj = w[j - 1]
-                if wj > wi:
-                    totals[rs if j < i else rb] += 1
-                elif wj < wi:
-                    totals[ls if j < i else lb] += 1
-    return totals
-
-
-def _normalization(p: Partition) -> int:
-    return p.n * (p.k - 1) if p.k else 0
 
 
 def mak(p: Partition) -> int:
-    t = coord_sums_all(p)
-    return t[CoordKind.ROS] + t[CoordKind.LCS]
+    return four_stats(p)[0]
 
 
 def makp(p: Partition) -> int:
-    t = coord_sums_all(p)
-    return t[CoordKind.LOB] + t[CoordKind.RCB]
-
-
-def lmakp(p: Partition) -> int:
-    t = coord_sums_all(p)
-    return _normalization(p) - (t[CoordKind.LCB] + t[CoordKind.ROB])
+    return four_stats(p)[1]
 
 
 def lmak(p: Partition) -> int:
-    t = coord_sums_all(p)
-    return _normalization(p) - (t[CoordKind.LOS] + t[CoordKind.RCS])
+    return four_stats(p)[2]
+
+
+def lmakp(p: Partition) -> int:
+    return four_stats(p)[3]
 
 
 def rinv(b: int, p: Partition) -> int:
@@ -198,15 +207,9 @@ def linv_closers(p: Partition) -> int:
     return sum(linv(b, p) for b in classify(p).closers)
 
 
-def _require_canonical(p: Partition, name: str) -> SetPartition:
-    if isinstance(p, SetPartition):
-        return p
-    raise PartitionError(f"{name} is defined on canonically ordered partitions only")
-
-
 def mak_l(p: SetPartition, l: int) -> int:
     """mak adjusted at the l-th block: mak - nrinv(max(B_l)) + k - l."""
-    p = _require_canonical(p, "mak_l")
+    p = _require_canonical(p, "mak_l is defined on canonically ordered partitions only")
     if not 1 <= l <= p.k:
         raise PartitionError(f"block index {l} outside 1..{p.k}")
     closer = p.blocks[l - 1][-1]
@@ -215,7 +218,7 @@ def mak_l(p: SetPartition, l: int) -> int:
 
 def stat_i(p: SetPartition, i: int) -> int:
     """k - rinv(F) - nrinv(max(B_i)) on a partition with k+1 blocks."""
-    p = _require_canonical(p, "stat_i")
+    p = _require_canonical(p, "stat_i is defined on canonically ordered partitions only")
     if not 1 <= i <= p.k:
         raise PartitionError(f"block index {i} outside 1..{p.k}")
     k = p.k - 1

@@ -42,7 +42,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from . import bijections, core, motzkin, stats
-from .qseries import QPolynomial, q_factorial, q_int, q_stirling
+from .qseries import QPolynomial, generating_function, q_factorial, q_int, q_stirling
 from .stats import CoordKind
 
 
@@ -209,30 +209,6 @@ def _cell(fn):
     return fn
 
 
-def _mak_of(p: core.Partition) -> int:
-    t = stats.coord_sums_all(p)
-    return t[CoordKind.ROS] + t[CoordKind.LCS]
-
-
-def _four_stats(p: core.Partition) -> tuple[int, int, int, int]:
-    t = stats.coord_sums_all(p)
-    norm = p.n * (p.k - 1) if p.k else 0
-    return (
-        t[CoordKind.ROS] + t[CoordKind.LCS],
-        t[CoordKind.LOB] + t[CoordKind.RCB],
-        norm - (t[CoordKind.LOS] + t[CoordKind.RCS]),
-        norm - (t[CoordKind.LCB] + t[CoordKind.ROB]),
-    )
-
-
-def _mak_genfun(n: int, k: int) -> QPolynomial:
-    counts: dict[int, int] = {}
-    for p in core.enumerate_partitions(n, k):
-        m = _mak_of(p)
-        counts[m] = counts.get(m, 0) + 1
-    return QPolynomial.from_dict(counts)
-
-
 @_cell
 def _theorem1_cell(n: int) -> CellResult:
     failures = []
@@ -246,9 +222,8 @@ def _theorem1_cell(n: int) -> CellResult:
             failures.append((text, "a consistent involution image", str(exc)))
             continue
         image = cert.image
-        m = _mak_of(p)
-        tm = stats.coord_sums_all(image)
-        mp = tm[CoordKind.LOB] + tm[CoordKind.RCB]
+        m = stats.mak(p)
+        mp = stats.makp(image)
         if m != mp:
             failures.append((text, f"makp of image = {m}", str(mp)))
         if bijections.phi(image) != p:
@@ -265,7 +240,7 @@ def _theorem2_cell(n: int, k: int) -> CellResult:
     cases = 0
     for p in core.enumerate_partitions(n, k):
         cases += 1
-        mak_, makp_, lmak_, lmakp_ = _four_stats(p)
+        mak_, makp_, lmak_, lmakp_ = stats.four_stats(p)
         if mak_ != lmakp_:
             failures.append((p.text(), f"lmakp = mak = {mak_}", str(lmakp_)))
         if makp_ != lmak_:
@@ -281,7 +256,7 @@ def _theorem3_cell(n: int, k: int) -> CellResult:
     count = 0
     for p in core.enumerate_partitions(n, k):
         count += 1
-        mak_, makp_, lmak_, lmakp_ = _four_stats(p)
+        mak_, makp_, lmak_, lmakp_ = stats.four_stats(p)
         values = {"mak": mak_, "makp": makp_, "lmak": lmak_, "lmakp": lmakp_}
         for l in range(1, k + 1):
             closer = p.blocks[l - 1][-1]
@@ -298,8 +273,9 @@ def _theorem3_cell(n: int, k: int) -> CellResult:
         if got != target:
             failures.append((f"n={n} k={k} stat={name}", target.text(), got.text()))
     if n >= 1 and k >= 1:
-        left = _mak_genfun(n, k)
-        right = _mak_genfun(n - 1, k - 1).shift(k - 1) + q_int(k) * _mak_genfun(n - 1, k)
+        genfun = lambda m, j: generating_function(core.enumerate_partitions(m, j), stats.mak)
+        left = genfun(n, k)
+        right = genfun(n - 1, k - 1).shift(k - 1) + q_int(k) * genfun(n - 1, k)
         if left != right:
             failures.append((f"n={n} k={k} recurrence", left.text(), right.text()))
     return count * len(names), failures, {f"n={n},k={k}": count}
@@ -320,7 +296,7 @@ def _lemma1_cell(n: int, k: int) -> CellResult:
             for idx, kind in enumerate(prof.kinds)
             if kind in (core.Kind.CLOSER, core.Kind.PASSANT)
         ]
-        mak_, makp_, _, _ = _four_stats(p)
+        mak_, makp_, _, _ = stats.four_stats(p)
         eq5 = sum(prof.l[idx] - prof.gamma[idx] for idx in mid) + closers_below_total
         if eq5 != mak_:
             failures.append((text, f"trace form of mak = {mak_}", str(eq5)))
@@ -435,7 +411,7 @@ def _eq13_cell(m: int, kk: int) -> CellResult:
     count = 0
     for p in core.enumerate_partitions(m, kk):
         count += 1
-        mak_ = _mak_of(p)
+        mak_ = stats.mak(p)
         base[mak_] = base.get(mak_, 0) + 1
         for i in range(kk):  # i = 0..k, block index i+1
             closer = p.blocks[i][-1]
@@ -533,7 +509,7 @@ def _euler_cell(n: int, k: int) -> CellResult:
     sums: dict[str, dict[int, int]] = {name: {} for name in combo_names}
     for op in core.enumerate_ordered(n, k):
         count += 1
-        mak_, makp_, lmak_, lmakp_ = _four_stats(op)
+        mak_, makp_, lmak_, lmakp_ = stats.four_stats(op)
         if mak_ != lmakp_:
             failures.append((op.text(), f"lmakp = mak = {mak_}", str(lmakp_)))
         if makp_ != lmak_:

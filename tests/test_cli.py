@@ -210,6 +210,15 @@ def test_genfun_json_single_k(capsys):
     assert payload["compare"] == {"verdict": "EQUAL", "witness": None}
 
 
+def test_genfun_rejects_n_above_the_cap(capsys):
+    code, out, err = run(["genfun", "-n", "65"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be at most 64\n"
+    code, _, err = run(["genfun", "-n", "100000", "-k", "1"], capsys)
+    assert (code, err) == (2, "error: n must be at most 64\n")
+
+
 def test_genfun_bad_k(capsys):
     code, _, err = run(["genfun", "-n", "3", "-k", "two"], capsys)
     assert code == 2
@@ -429,6 +438,7 @@ def test_repeated_element_wording(capsys):
     code, _, err = run(["stats", "1,1"], capsys)
     assert code == 1
     assert err.startswith("error: element 1 appears twice in block 1")
+    assert err == "error: element 1 appears twice in block 1\n"
 
 
 def test_domain_error_exit_code(capsys):

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -39,6 +41,34 @@ def rgf_words(draw, max_n=9):
     return tuple(letters)
 
 
+def _seeded_words():
+    """60 restricted growth words with 2 <= n <= 64 and 1 <= k <= n/2
+    blocks, drawn from a fixed seed."""
+    rng = random.Random(2001)
+    words = []
+    for _ in range(60):
+        n = rng.randint(2, 64)
+        k = rng.randint(1, n // 2)
+        word, top = [], 0
+        for i in range(n):
+            # open a new block when the remaining elements are all needed
+            letter = top + 1 if n - i == k - top else rng.randint(1, min(top + 1, k))
+            word.append(letter)
+            top = max(top, letter)
+        words.append(tuple(word))
+    return words
+
+
+SEEDED_WORDS = _seeded_words()
+
+
+def _with_seeded_words(test):
+    """Add every seeded word as an explicit hypothesis example."""
+    for word in SEEDED_WORDS:
+        test = example(word)(test)
+    return test
+
+
 def test_parse_fixture():
     p = parse_partition(EX_TEXT)
     assert p.blocks == EX_BLOCKS
@@ -63,6 +93,14 @@ def test_parse_position_errors():
     assert err.value.position == 4
     with pytest.raises(ParseError):
         parse_partition("1,2/")
+
+
+def test_semantic_parse_errors_carry_no_position():
+    for parse in (parse_partition, parse_ordered):
+        with pytest.raises(ParseError) as err:
+            parse("1,1")
+        assert err.value.position is None
+        assert str(err.value) == "element 1 appears twice in block 1"
 
 
 def test_invalid_blocks_name_the_offender():
@@ -138,6 +176,11 @@ def test_rebuild_inverts_trace():
         for p in enumerate_partitions(n):
             profile = trace_profile(p)
             assert rebuild_from_profile(profile.kinds, profile.gamma) == p
+    for word in SEEDED_WORDS:
+        p = SetPartition(word)
+        profile = trace_profile(p)
+        assert (list(profile.l), list(profile.gamma)) == oracles.l_gamma(p.blocks)
+        assert rebuild_from_profile(profile.kinds, profile.gamma) == p
 
 
 def test_rebuild_rejects_impossible_profiles():
@@ -232,6 +275,7 @@ def test_classification_partitions_the_ground_set(word):
 
 
 @given(rgf_words(max_n=7))
+@_with_seeded_words
 def test_trace_matches_literal_traces(word):
     p = SetPartition.from_rgf(word)
     profile = trace_profile(p)

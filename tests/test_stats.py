@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 
 import oracles
-from setpart.core import PartitionError, enumerate_ordered, enumerate_partitions, parse_ordered, parse_partition
+from setpart.core import (
+    PartitionError,
+    SetPartition,
+    enumerate_ordered,
+    enumerate_partitions,
+    parse_ordered,
+    parse_partition,
+)
 from setpart.stats import (
     ELEMENT_STATISTICS,
     STATISTICS,
@@ -199,14 +206,24 @@ def test_linv_rinv_aggregates():
 
 @given(rgf_words(max_n=7))
 def test_coordinates_match_literal_definitions(word):
-    from setpart.core import SetPartition
-
     p = SetPartition.from_rgf(word)
+    sums = coord_sums_all(p)
     for kind in CoordKind:
         assert coord_sum(p, kind) == oracles.coord_sum(
             p.blocks, kind.side, kind.reference, kind.comparison
         )
+        assert sums[kind] == coord_sum(p, kind)
     assert mak(p) == oracles.mak(p.blocks)
     assert makp(p) == oracles.makp(p.blocks)
     assert lmak(p) == oracles.lmak(p.blocks)
     assert lmakp(p) == oracles.lmakp(p.blocks)
+
+
+def test_coordinates_match_literal_definitions_on_ordered_partitions():
+    for n in range(7):
+        for op in enumerate_ordered(n):
+            sums = coord_sums_all(op)
+            for kind in CoordKind:
+                assert sums[kind] == oracles.coord_sum(
+                    op.blocks, kind.side, kind.reference, kind.comparison
+                ), (op.text(), kind)
