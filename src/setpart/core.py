@@ -36,16 +36,24 @@ the indices of the incomplete blocks as a sorted list: l_i is its
 length before element i, and gamma_i is one plus the position of i's
 block in it.  An opener or singleton starts a new rightmost block, a
 closer leaves the list.
+
+Partitions are immutable, so each object computes its classification
+and its trace profile once, on first request, and keeps them in its
+instance dict next to the cached ``blocks`` view (``_memo``); they live
+exactly as long as the object and take no part in equality or hashing.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+_T = TypeVar("_T")
 
 
 class PartitionError(ValueError):
@@ -321,12 +329,13 @@ def parse_partition(text: str) -> SetPartition:
 
 def parse_rgf(text: str) -> RgfWord:
     """Parse a space-separated restricted growth word."""
-    parts = text.split()
-    try:
-        letters = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"not an integer: {exc}", 0) from exc
-    return RgfWord(letters)
+    letters = []
+    for token in re.finditer(r"\S+", text):
+        try:
+            letters.append(int(token.group()))
+        except ValueError as exc:
+            raise ParseError(f"not an integer: {exc}", token.start()) from exc
+    return RgfWord(tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -349,12 +358,26 @@ class ElementClassification:
         return tuple(x for x in self.closers if x not in s)
 
 
+def _memo(p: Partition, name: str, compute: Callable[[Partition], _T]) -> _T:
+    """``compute(p)``, computed once per object and kept in its instance
+    dict under ``name``, the storage ``functools.cached_property`` uses
+    for ``blocks``.  Only for immutable results derived from ``p`` alone."""
+    value = p.__dict__.get(name)
+    if value is None:
+        value = p.__dict__[name] = compute(p)
+    return value
+
+
 def classify(p: Partition) -> ElementClassification:
     """Sorted opener/closer/passant/singleton sets of ``p``.
 
     Works for canonical and ordered partitions alike: the roles depend
     only on the blocks, not on their order.
     """
+    return _memo(p, "_classification", _classify)
+
+
+def _classify(p: Partition) -> ElementClassification:
     openers, closers, singles, passants = [], [], [], []
     for block in p.blocks:
         openers.append(block[0])
@@ -391,7 +414,12 @@ def _require_canonical(p: Partition, message: str) -> SetPartition:
 def trace_profile(p: SetPartition) -> TraceProfile:
     """Kinds plus (l_i, gamma_i) for each element of a canonical partition,
     in one left-to-right pass over its word."""
-    word = _require_canonical(p, "trace profiles are defined on canonical partitions").word
+    p = _require_canonical(p, "trace profiles are defined on canonical partitions")
+    return _memo(p, "_profile", _trace_pass)
+
+
+def _trace_pass(p: SetPartition) -> TraceProfile:
+    word = p.word
     last = {letter: i for i, letter in enumerate(word)}
     incomplete: list[int] = []  # indices of the incomplete blocks, ascending
     kinds, ls, gammas = [], [], []

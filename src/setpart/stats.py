@@ -23,11 +23,19 @@ On canonically ordered blocks lob vanishes, mak = lmakp and makp = lmak
 pointwise, and the generating function of each over the partitions of
 [n] into k blocks is the q-Stirling number S_q(n, k).
 
-``coord_sums_all`` finds all eight sums in one left-to-right pass over
-w, keeping per-block counts of the openers, closers and elements seen so
-far; each (element, reference) pair is counted when the later of the
-two is reached.  Each sum is counted on its own, never derived from the
-others, so the identities above remain checks of the counts.
+``coord_sums_all`` finds all eight sums in two passes over w that keep
+sets of blocks as int bitmasks (bit b for block b).  The left-to-right
+pass holds the blocks whose opener, resp. closer, lies left of i; the
+"smaller" sums of i are popcounts of that mask above bit w_i (right) and
+below it (left).  The right-to-left pass does the same for the blocks
+whose opener or closer lies right of i, giving the "bigger" sums.  Each
+sum is counted on its own, never derived from the others (in particular
+not through rob + ros = k - w), so the identities above remain checks of
+the counts.  The eight sums are computed once per partition object and
+kept on it (``core._memo``), so mak, makp, lmak, lmakp and every
+``coord_sums_all`` call on that object share one count, which lives as
+long as the object.  ``coord_sum`` is an independent element-by-element
+count over the (equally memoized) classification.
 
 Element-level inversion counts, for b in block j:
 
@@ -57,6 +65,7 @@ from .core import (
     Partition,
     PartitionError,
     SetPartition,
+    _memo,
     _require_canonical,
     classify,
 )
@@ -112,44 +121,48 @@ def coord_sum(p: Partition, kind: CoordKind) -> int:
     return sum(coord_stat(p, kind, i) for i in range(1, p.n + 1))
 
 
-def coord_sums_all(p: Partition) -> dict[CoordKind, int]:
-    """All eight coordinate sums in one left-to-right pass over the word."""
+def _coord_pass(p: Partition) -> tuple[int, int, int, int, int, int, int, int]:
+    """The eight coordinate sums in ``CoordKind`` order, by two popcount
+    passes over the word."""
     w = p.word
     last = {b: i for i, b in enumerate(w)}
-    seen = [0] * (p.k + 1)  # elements of each block seen so far
-    opened = [0] * (p.k + 1)  # 1 once the block's opener was seen
-    closed = [0] * (p.k + 1)  # 1 once the block's closer was seen
-    ros = rob = rcs = rcb = los = lob = lcs = lcb = 0
+    opener: list[bool] = []  # opener[i]: element i opens its block
+    opened = closed = 0  # blocks whose opener / closer lies left of i
+    ros = rcs = los = lcs = 0
     for i, b in enumerate(w):
-        # the element at hand against earlier references ("smaller")
-        ros += sum(opened[b + 1 :])
-        los += sum(opened[:b])
-        rcs += sum(closed[b + 1 :])
-        lcs += sum(closed[:b])
-        # the element at hand as a reference for earlier elements ("bigger")
-        if not seen[b]:
-            rob += sum(seen[:b])
-            lob += sum(seen[b + 1 :])
-            opened[b] = 1
+        bit = 1 << b
+        ros += (opened >> b + 1).bit_count()
+        los += (opened & bit - 1).bit_count()
+        rcs += (closed >> b + 1).bit_count()
+        lcs += (closed & bit - 1).bit_count()
+        opener.append(not opened & bit)
+        opened |= bit
         if last[b] == i:
-            rcb += sum(seen[:b])
-            lcb += sum(seen[b + 1 :])
-            closed[b] = 1
-        seen[b] += 1
-    # CoordKind lists its members in exactly this order
-    return dict(zip(CoordKind, (ros, rob, rcs, rcb, los, lob, lcs, lcb)))
+            closed |= bit
+    opened = closed = 0  # blocks whose opener / closer lies right of i
+    rob = rcb = lob = lcb = 0
+    for b, is_opener in zip(reversed(w), reversed(opener)):
+        bit = 1 << b
+        rob += (opened >> b + 1).bit_count()
+        lob += (opened & bit - 1).bit_count()
+        rcb += (closed >> b + 1).bit_count()
+        lcb += (closed & bit - 1).bit_count()
+        if is_opener:
+            opened |= bit
+        closed |= bit
+    return ros, rob, rcs, rcb, los, lob, lcs, lcb
+
+
+def coord_sums_all(p: Partition) -> dict[CoordKind, int]:
+    """All eight coordinate sums, as a fresh dict on every call."""
+    return dict(zip(CoordKind, _memo(p, "_coord_sums", _coord_pass)))
 
 
 def four_stats(p: Partition) -> tuple[int, int, int, int]:
-    """(mak, makp, lmak, lmakp) from a single ``coord_sums_all`` call."""
-    t = coord_sums_all(p)
+    """(mak, makp, lmak, lmakp) from the partition's eight coordinate sums."""
+    ros, rob, rcs, rcb, los, lob, lcs, lcb = _memo(p, "_coord_sums", _coord_pass)
     norm = p.n * (p.k - 1) if p.k else 0
-    return (
-        t[CoordKind.ROS] + t[CoordKind.LCS],
-        t[CoordKind.LOB] + t[CoordKind.RCB],
-        norm - (t[CoordKind.LOS] + t[CoordKind.RCS]),
-        norm - (t[CoordKind.LCB] + t[CoordKind.ROB]),
-    )
+    return ros + lcs, lob + rcb, norm - (los + rcs), norm - (lcb + rob)
 
 
 def mak(p: Partition) -> int:

@@ -41,6 +41,17 @@ def rgf_words(draw, max_n=9):
     return tuple(letters)
 
 
+def seeded_word(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
+    """A random restricted growth word of length n with k blocks."""
+    word, top = [], 0
+    for i in range(n):
+        # open a new block when the remaining elements are all needed
+        letter = top + 1 if n - i == k - top else rng.randint(1, min(top + 1, k))
+        word.append(letter)
+        top = max(top, letter)
+    return tuple(word)
+
+
 def _seeded_words():
     """60 restricted growth words with 2 <= n <= 64 and 1 <= k <= n/2
     blocks, drawn from a fixed seed."""
@@ -48,14 +59,7 @@ def _seeded_words():
     words = []
     for _ in range(60):
         n = rng.randint(2, 64)
-        k = rng.randint(1, n // 2)
-        word, top = [], 0
-        for i in range(n):
-            # open a new block when the remaining elements are all needed
-            letter = top + 1 if n - i == k - top else rng.randint(1, min(top + 1, k))
-            word.append(letter)
-            top = max(top, letter)
-        words.append(tuple(word))
+        words.append(seeded_word(rng, n, rng.randint(1, n // 2)))
     return words
 
 
@@ -120,8 +124,12 @@ def test_restricted_growth_validation():
     with pytest.raises(PartitionError, match="index 1"):
         RgfWord((2,))
     assert parse_rgf("1 2 3 1 4 4 3 1 3").letters == EX_WORD
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_rgf("1 two")
+    assert err.value.position == 2
+    assert str(err.value) == (
+        "not an integer: invalid literal for int() with base 10: 'two' (position 2)"
+    )
 
 
 def test_empty_partition():
@@ -169,6 +177,39 @@ def test_trace_second_fixture():
 def test_trace_requires_canonical_order():
     with pytest.raises(PartitionError):
         trace_profile(parse_ordered("2/1"))
+
+
+def test_cached_views_equal_a_fresh_computation():
+    for word in SEEDED_WORDS:
+        p = SetPartition(word)
+        first = trace_profile(p)
+        assert trace_profile(p) is first  # kept on the object
+        assert first == trace_profile(SetPartition(word))
+        assert classify(p) is classify(p)
+        assert classify(p) == classify(SetPartition(word))
+    ordered = parse_ordered("3,4/1/2")
+    with pytest.raises(PartitionError, match="trace profiles are defined on canonical"):
+        trace_profile(ordered)
+    classify(ordered)
+    with pytest.raises(PartitionError, match="trace profiles are defined on canonical"):
+        trace_profile(ordered)
+
+
+def test_equality_and_hash_ignore_the_cached_views():
+    from setpart.stats import coord_sums_all
+
+    pairs = [(SetPartition(w), SetPartition(w)) for w in SEEDED_WORDS[:10]]
+    pairs += [(parse_ordered(t), parse_ordered(t)) for t in ("2/1", "3,4/1/2", EX_TEXT)]
+    for warm, cold in pairs:
+        classify(warm)
+        coord_sums_all(warm)
+        if isinstance(warm, SetPartition):
+            trace_profile(warm)
+        assert warm.__dict__.keys() != cold.__dict__.keys()
+        assert warm == cold and cold == warm
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert len({warm, cold}) == 1
 
 
 def test_rebuild_inverts_trace():

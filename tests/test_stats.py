@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given
 
 import oracles
+from setpart import stats
 from setpart.core import (
+    OrderedSetPartition,
     PartitionError,
     SetPartition,
     enumerate_ordered,
@@ -32,7 +36,7 @@ from setpart.stats import (
     rinv_closers,
     stat_i,
 )
-from test_core import rgf_words
+from test_core import rgf_words, seeded_word
 
 P2 = parse_partition("1,4,8/2,9/3,7/5,6")
 P3 = parse_partition("1,4,8/2/3,7,9/5,6")
@@ -227,3 +231,50 @@ def test_coordinates_match_literal_definitions_on_ordered_partitions():
                 assert sums[kind] == oracles.coord_sum(
                     op.blocks, kind.side, kind.reference, kind.comparison
                 ), (op.text(), kind)
+
+
+def test_coord_sums_all_returns_a_fresh_dict():
+    p = parse_partition("1,4,8/2,9/3,7/5,6")
+    sums = coord_sums_all(p)
+    expected = dict(sums)
+    sums[CoordKind.ROS] += 100
+    sums.clear()
+    assert coord_sums_all(p) == expected
+    assert coord_sums_all(p) is not coord_sums_all(p)
+    assert mak(p) == 9
+
+
+def test_mak_family_runs_the_kernel_once(monkeypatch):
+    calls = []
+    kernel = stats._coord_pass
+
+    def counting(p):
+        calls.append(p)
+        return kernel(p)
+
+    monkeypatch.setattr(stats, "_coord_pass", counting)
+    p = parse_partition("1,4,8/2,9/3,7/5,6")
+    assert (mak(p), makp(p), lmak(p), lmakp(p)) == (9, 10, 10, 9)
+    assert stats.four_stats(p) == (9, 10, 10, 9)
+    assert coord_sums_all(p)[CoordKind.LCB] == 11
+    assert len(calls) == 1
+    # an equal but distinct object counts again: the memo is per object
+    assert mak(parse_partition("1,4,8/2,9/3,7/5,6")) == 9
+    assert len(calls) == 2
+
+
+def test_kernel_matches_literal_definitions_beyond_one_machine_word():
+    # more than 64 blocks, so the block bitmasks span several machine words
+    rng = random.Random(150)
+    for _ in range(4):
+        word = seeded_word(rng, 150, rng.randint(70, 100))
+        p = SetPartition(word)
+        assert p.k >= 70
+        shuffled = list(p.blocks)
+        rng.shuffle(shuffled)
+        for q in (p, OrderedSetPartition.from_blocks(shuffled)):
+            sums = coord_sums_all(q)
+            for kind in CoordKind:
+                assert sums[kind] == oracles.coord_sum(
+                    q.blocks, kind.side, kind.reference, kind.comparison
+                ), (word, kind)
