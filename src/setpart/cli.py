@@ -106,6 +106,32 @@ def _first_difference(got: QPolynomial, want: QPolynomial) -> tuple[int, int, in
     raise AssertionError("polynomials compare unequal but share all coefficients")
 
 
+def _per_k(args, all_ks: range, head: dict, rows) -> int:
+    """Report one row per block count named by ``-k``: every k in
+    ``all_ks`` for 'all' (text lines prefixed ``k=K: ``, JSON rows under
+    "results"), or a single integer (bare lines, JSON row merged into
+    ``head``).  ``rows(ks)`` yields (JSON entry, text lines, ok) per k.
+    Exit 2 on a bad ``-k``, 1 if any row is not ok, 0 otherwise."""
+    if args.k == "all":
+        ks, prefix = list(all_ks), "k={}: "
+    else:
+        try:
+            ks, prefix = [int(args.k)], ""
+        except ValueError:
+            print(f"error: -k takes an integer or 'all', got {args.k!r}", file=sys.stderr)
+            return 2
+    results, lines, ok = [], [], True
+    for k, (entry, texts, row_ok) in zip(ks, rows(ks)):
+        results.append(entry)
+        lines += [prefix.format(k) + text for text in texts]
+        ok = ok and row_ok
+    if args.json:
+        _emit({**head, "results": results} if args.k == "all" else {**head, **results[0]})
+    else:
+        print("\n".join(lines))
+    return 0 if ok else 1
+
+
 def cmd_genfun(args) -> int:
     n = args.n
     if n < 0:
@@ -114,21 +140,8 @@ def cmd_genfun(args) -> int:
     if n > GENFUN_N_MAX:
         print(f"error: n must be at most {GENFUN_N_MAX}", file=sys.stderr)
         return 2
-    if args.k == "all" or args.k is None:
-        ks = list(range(0, 1) if n == 0 else range(1, n + 1))
-        all_mode = True
-    else:
-        try:
-            ks = [int(args.k)]
-        except ValueError:
-            print(f"error: -k takes an integer or 'all', got {args.k!r}", file=sys.stderr)
-            return 2
-        all_mode = False
 
-    fast = args.stat == "mak" and not args.ordered
-    hists = verify.mak_histograms(n) if fast else None
-
-    def genfun_for(k: int) -> QPolynomial:
+    def genfun_for(k: int, hists: dict[int, list[int]] | None) -> QPolynomial:
         if hists is not None:
             return QPolynomial(hists.get(k, []))
         fn = stats.resolve_statistic(args.stat, l=args.l)
@@ -144,38 +157,30 @@ def cmd_genfun(args) -> int:
             return qseries.q_factorial(k) * qseries.q_stirling(n, k)
         return None
 
-    failed = False
-    results = []
-    lines = []
-    for k in ks:
-        poly = genfun_for(k)
-        target = target_for(k)
-        prefix = f"k={k}: " if all_mode else ""
-        lines.append(prefix + poly.text())
-        entry = {"k": k, "polynomial": poly.to_json_dict()}
-        if target is not None:
-            if poly == target:
-                entry["compare"] = {"verdict": "EQUAL", "witness": None}
-                lines.append(prefix + "EQUAL")
-            else:
-                failed = True
-                e, got, want = _first_difference(poly, target)
-                entry["compare"] = {
-                    "verdict": "DIFFER",
-                    "witness": {"exponent": e, "got": got, "expected": want},
-                }
-                lines.append(prefix + f"DIFFER at q^{e}: got {got}, expected {want}")
-        results.append(entry)
-    if args.json:
-        payload = {"n": n, "statistic": args.stat, "ordered": bool(args.ordered)}
-        if all_mode:
-            payload["results"] = results
-        else:
-            payload.update(results[0])
-        _emit(payload)
-    else:
-        print("\n".join(lines))
-    return 1 if failed else 0
+    def rows(ks: list[int]):
+        # _per_k reads -k before the first row, so a bad -k never runs the kernel
+        fast = args.stat == "mak" and not args.ordered
+        hists = verify.mak_histograms(n) if fast else None
+        for k in ks:
+            poly = genfun_for(k, hists)
+            target = target_for(k)
+            entry = {"k": k, "polynomial": poly.to_json_dict()}
+            lines = [poly.text()]
+            if target is not None:
+                if poly == target:
+                    entry["compare"] = {"verdict": "EQUAL", "witness": None}
+                    lines.append("EQUAL")
+                else:
+                    e, got, want = _first_difference(poly, target)
+                    entry["compare"] = {
+                        "verdict": "DIFFER",
+                        "witness": {"exponent": e, "got": got, "expected": want},
+                    }
+                    lines.append(f"DIFFER at q^{e}: got {got}, expected {want}")
+            yield entry, lines, target is None or poly == target
+
+    head = {"n": n, "statistic": args.stat, "ordered": bool(args.ordered)}
+    return _per_k(args, range(0, 1) if n == 0 else range(1, n + 1), head, rows)
 
 
 def cmd_qstirling(args) -> int:
@@ -183,34 +188,14 @@ def cmd_qstirling(args) -> int:
     if n < 0:
         print("error: n must be non-negative", file=sys.stderr)
         return 2
-    if args.k == "all" or args.k is None:
-        ks = list(range(0, n + 1))
-        all_mode = True
-    else:
-        try:
-            ks = [int(args.k)]
-        except ValueError:
-            print(f"error: -k takes an integer or 'all', got {args.k!r}", file=sys.stderr)
-            return 2
-        all_mode = False
     make = qseries.shifted_stirling if args.shifted else qseries.q_stirling
-    results = []
-    lines = []
-    for k in ks:
-        poly = make(n, k)
-        prefix = f"k={k}: " if all_mode else ""
-        lines.append(prefix + poly.text())
-        results.append({"k": k, "polynomial": poly.to_json_dict()})
-    if args.json:
-        payload = {"n": n, "shifted": bool(args.shifted)}
-        if all_mode:
-            payload["results"] = results
-        else:
-            payload.update(results[0])
-        _emit(payload)
-    else:
-        print("\n".join(lines))
-    return 0
+
+    def rows(ks: list[int]):
+        for k in ks:
+            poly = make(n, k)
+            yield {"k": k, "polynomial": poly.to_json_dict()}, [poly.text()], True
+
+    return _per_k(args, range(n + 1), {"n": n, "shifted": bool(args.shifted)}, rows)
 
 
 def cmd_phi(args) -> int:

@@ -24,6 +24,10 @@ from typing import Callable, Iterable, Mapping
 
 from . import core
 
+# Largest exponent accepted from a sparse mapping (text, JSON): the
+# coefficients are stored densely, one entry per exponent.
+MAX_EXPONENT = 10**6
+
 
 class QPolynomial:
     """Immutable polynomial in q with int coefficients.
@@ -66,6 +70,8 @@ class QPolynomial:
         exps = list(mapping)
         if min(exps) < 0:
             raise ValueError(f"negative exponent {min(exps)}")
+        if max(exps) > MAX_EXPONENT:
+            raise ValueError(f"exponent {max(exps)} exceeds {MAX_EXPONENT}")
         dense = [0] * (max(exps) + 1)
         for e, c in mapping.items():
             dense[e] = c

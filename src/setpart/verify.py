@@ -2,11 +2,14 @@
 Exhaustive verification suites over all partitions at desk scale, plus a
 polynomial-time transfer DP for the distribution of mak.
 
-Each suite decomposes into independent (n, k) cells, so the work can be
-spread over processes with ``threads``; cell results are merged in task
-order and by commutative sums, which keeps every byte of the report
-independent of the thread count.  Wall time is carried separately for
-the same reason.
+``SUITES`` maps each suite name to its default range and to the list of
+its tasks, independent (cell function, args) pairs over the (n, k)
+families, so the work can be spread over processes with ``threads``;
+cell results are merged in task order and by commutative sums, which
+keeps every byte of the report independent of the thread count.  Wall
+time is carried separately for the same reason.  Per-partition
+identities are checks: generators that yield (expected, actual) for each
+identity broken on one partition, run over a family by ``_each``.
 
 Suite names are fixed CLI vocabulary:
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter, defaultdict
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, sub
@@ -196,59 +200,151 @@ def mak_polynomial(n: int, k: int, threads: int = 1) -> QPolynomial:
 
 
 # ----------------------------------------------------------------------
-# suite cells
+# per-partition checks
 # ----------------------------------------------------------------------
 
+# A check reads one partition and yields (expected, actual) for every
+# identity it finds broken there; ``_each`` runs it over a family.  The
+# aliases subscript collections.abc, not typing: typing caches its
+# aliases, and one over core.SetPartition would keep every re-imported
+# copy of the package alive.
+Check = Callable[[core.SetPartition], Iterator[tuple[str, str]]]
 CellResult = tuple[int, list[tuple[str, str, str]], dict[str, int]]
 
-_CELLS: dict[str, object] = {}
 
-
-def _cell(fn):
-    _CELLS[fn.__name__] = fn
-    return fn
-
-
-@_cell
-def _theorem1_cell(n: int) -> CellResult:
-    failures = []
-    cases = 0
-    for p in core.enumerate_partitions(n):
-        cases += 1
-        text = p.text()
-        try:
-            cert = bijections.phi_certificate(p)
-        except bijections.ConsistencyError as exc:
-            failures.append((text, "a consistent involution image", str(exc)))
-            continue
-        image = cert.image
-        m = stats.mak(p)
-        mp = stats.makp(image)
-        if m != mp:
-            failures.append((text, f"makp of image = {m}", str(mp)))
-        if bijections.phi(image) != p:
-            failures.append((text, "involution returns to the source", bijections.phi(image).text()))
-        mirror = tuple(sorted(n + 1 - i for i in core.classify(p).opener_nonsingletons))
-        if core.classify(image).closer_nonsingletons != mirror:
-            failures.append((text, f"image closers {mirror}", str(core.classify(image).closer_nonsingletons)))
-    return cases, failures, {f"n={n}": cases}
-
-
-@_cell
-def _theorem2_cell(n: int, k: int) -> CellResult:
+def _each(check: Check, label: str, n: int, k: int | None = None) -> CellResult:
+    """Run ``check`` on every partition of [n] (into k blocks if given);
+    each failure is witnessed by the partition's text."""
     failures = []
     cases = 0
     for p in core.enumerate_partitions(n, k):
         cases += 1
-        mak_, makp_, lmak_, lmakp_ = stats.four_stats(p)
-        if mak_ != lmakp_:
-            failures.append((p.text(), f"lmakp = mak = {mak_}", str(lmakp_)))
-        if makp_ != lmak_:
-            failures.append((p.text(), f"lmak = makp = {makp_}", str(lmak_)))
-    return cases, failures, {f"n={n},k={k}": cases}
+        failures += [(p.text(), expected, actual) for expected, actual in check(p)]
+    return cases, failures, {f"{label}n={n}" + ("" if k is None else f",k={k}"): cases}
 
 
-@_cell
+def _theorem1(p: core.SetPartition) -> Iterator[tuple[str, str]]:
+    try:
+        image = bijections.phi_certificate(p).image
+    except bijections.ConsistencyError as exc:
+        yield "a consistent involution image", str(exc)
+        return
+    m, mp = stats.mak(p), stats.makp(image)
+    if m != mp:
+        yield f"makp of image = {m}", str(mp)
+    back = bijections.phi(image)
+    if back != p:
+        yield "involution returns to the source", back.text()
+    mirror = tuple(sorted(p.n + 1 - i for i in core.classify(p).opener_nonsingletons))
+    closers = core.classify(image).closer_nonsingletons
+    if closers != mirror:
+        yield f"image closers {mirror}", str(closers)
+
+
+def _theorem2(p: core.Partition) -> Iterator[tuple[str, str]]:
+    mak_, makp_, lmak_, lmakp_ = stats.four_stats(p)
+    if mak_ != lmakp_:
+        yield f"lmakp = mak = {mak_}", str(lmakp_)
+    if makp_ != lmak_:
+        yield f"lmak = makp = {makp_}", str(lmak_)
+
+
+def _lemma1(p: core.SetPartition) -> Iterator[tuple[str, str]]:
+    n, k = p.n, p.k
+    prof = core.trace_profile(p)
+    cls = core.classify(p)
+    closers_below_total = sum(n - a for a in cls.closers)
+    mid = [
+        idx for idx, kind in enumerate(prof.kinds) if kind in (core.Kind.CLOSER, core.Kind.PASSANT)
+    ]
+    mak_, makp_, _, _ = stats.four_stats(p)
+    eq5 = sum(prof.l[idx] - prof.gamma[idx] for idx in mid) + closers_below_total
+    if eq5 != mak_:
+        yield f"trace form of mak = {mak_}", str(eq5)
+    eq6 = (
+        sum(k - prof.gamma[idx] for idx in mid)
+        + sum(k - 1 - prof.l[o - 1] for o in cls.openers)
+        - closers_below_total
+    )
+    if eq6 != makp_:
+        yield f"trace form of makp = {makp_}", str(eq6)
+    lhs = sum(prof.l[c - 1] for c in cls.closer_nonsingletons)
+    rhs = sum(prof.l[o - 1] + 1 for o in cls.opener_nonsingletons)
+    if lhs != rhs:
+        yield f"closer level sum = {rhs}", str(lhs)
+    try:
+        match = bijections.match_openers_closers(p)
+    except bijections.ConsistencyError as exc:
+        yield "a complete opener-closer matching", str(exc)
+        return
+    ok = (
+        tuple(sorted(match)) == cls.opener_nonsingletons
+        and tuple(sorted(match.values())) == cls.closer_nonsingletons
+        and all(prof.l[c - 1] == prof.l[o - 1] + 1 for o, c in match.items())
+    )
+    if not ok:
+        yield "a level-respecting matching", str(match)
+
+
+def _eq4(p: core.SetPartition) -> Iterator[tuple[str, str]]:
+    n, k = p.n, p.k
+    prof = core.trace_profile(p)
+    cls = core.classify(p)
+    openers, closers = set(cls.openers), set(cls.closers)
+    total = 0
+    for i in range(1, n + 1):
+        above = sum(1 for a in openers if a > i)
+        below = sum(1 for a in closers if a < i)
+        term = prof.l[i - 1] + above + below
+        total += term
+        if (1 if i in openers else 0) + term != k:
+            yield f"element identity k = {k} at i={i}", str((i in openers) + term)
+    if len(openers) + total != n * k:
+        yield f"summed identity nk = {n * k}", str(len(openers) + total)
+
+
+def _los_linv(p: core.SetPartition) -> Iterator[tuple[str, str]]:
+    value = stats.coord_sum(p, CoordKind.LOS) + stats.linv_openers(p)
+    expected = sum(p.n - x + 1 for x in core.classify(p).openers if x != 1)
+    if value != expected:
+        yield f"los + linv over openers = {expected}", str(value)
+
+
+def _motzkin_roundtrip(p: core.SetPartition) -> Iterator[tuple[str, str]]:
+    try:
+        back = motzkin.decode(motzkin.encode(p))
+    except (motzkin.PathError, core.PartitionError) as exc:
+        yield "decode(encode(p)) = p", f"raised: {exc}"
+        return
+    if back != p:
+        yield "decode(encode(p)) = p", back.text()
+
+
+def _motzkin_reflect(p: core.SetPartition) -> Iterator[tuple[str, str]]:
+    caught = (motzkin.PathError, bijections.ConsistencyError, core.PartitionError)
+    try:
+        via_paths = motzkin.phi_via_paths(p)
+        direct = bijections.phi(p)
+    except caught as exc:
+        yield "phi via paths = phi", f"raised: {exc}"
+        return
+    if via_paths != direct:
+        yield direct.text(), via_paths.text()
+    try:
+        path = motzkin.encode(p)
+        twice = motzkin.reflect(motzkin.reflect(path))
+    except caught as exc:
+        yield "reflect is an involution", f"raised: {exc}"
+        return
+    if twice != path:
+        yield "reflect is an involution", "differs"
+
+
+# ----------------------------------------------------------------------
+# aggregate cells: a distribution or a count over a whole family
+# ----------------------------------------------------------------------
+
+
 def _theorem3_cell(n: int, k: int) -> CellResult:
     failures = []
     names = ["mak", "makp", "lmak", "lmakp"] + [f"mak_{l}" for l in range(1, k + 1)]
@@ -274,97 +370,13 @@ def _theorem3_cell(n: int, k: int) -> CellResult:
             failures.append((f"n={n} k={k} stat={name}", target.text(), got.text()))
     if n >= 1 and k >= 1:
         genfun = lambda m, j: generating_function(core.enumerate_partitions(m, j), stats.mak)
-        left = genfun(n, k)
+        left = QPolynomial.from_dict(sums["mak"])
         right = genfun(n - 1, k - 1).shift(k - 1) + q_int(k) * genfun(n - 1, k)
         if left != right:
             failures.append((f"n={n} k={k} recurrence", left.text(), right.text()))
     return count * len(names), failures, {f"n={n},k={k}": count}
 
 
-@_cell
-def _lemma1_cell(n: int, k: int) -> CellResult:
-    failures = []
-    cases = 0
-    for p in core.enumerate_partitions(n, k):
-        cases += 1
-        text = p.text()
-        prof = core.trace_profile(p)
-        cls = core.classify(p)
-        closers_below_total = sum(n - a for a in cls.closers)
-        mid = [
-            idx
-            for idx, kind in enumerate(prof.kinds)
-            if kind in (core.Kind.CLOSER, core.Kind.PASSANT)
-        ]
-        mak_, makp_, _, _ = stats.four_stats(p)
-        eq5 = sum(prof.l[idx] - prof.gamma[idx] for idx in mid) + closers_below_total
-        if eq5 != mak_:
-            failures.append((text, f"trace form of mak = {mak_}", str(eq5)))
-        eq6 = (
-            sum(k - prof.gamma[idx] for idx in mid)
-            + sum(k - 1 - prof.l[o - 1] for o in cls.openers)
-            - closers_below_total
-        )
-        if eq6 != makp_:
-            failures.append((text, f"trace form of makp = {makp_}", str(eq6)))
-        lhs = sum(prof.l[c - 1] for c in cls.closer_nonsingletons)
-        rhs = sum(prof.l[o - 1] + 1 for o in cls.opener_nonsingletons)
-        if lhs != rhs:
-            failures.append((text, f"closer level sum = {rhs}", str(lhs)))
-        try:
-            match = bijections.match_openers_closers(p)
-        except bijections.ConsistencyError as exc:
-            failures.append((text, "a complete opener-closer matching", str(exc)))
-            continue
-        ok = (
-            tuple(sorted(match)) == cls.opener_nonsingletons
-            and tuple(sorted(match.values())) == cls.closer_nonsingletons
-            and all(prof.l[c - 1] == prof.l[o - 1] + 1 for o, c in match.items())
-        )
-        if not ok:
-            failures.append((text, "a level-respecting matching", str(match)))
-    return cases, failures, {f"n={n},k={k}": cases}
-
-
-@_cell
-def _eq4_cell(n: int, k: int) -> CellResult:
-    failures = []
-    cases = 0
-    for p in core.enumerate_partitions(n, k):
-        cases += 1
-        text = p.text()
-        prof = core.trace_profile(p)
-        cls = core.classify(p)
-        openers, closers = set(cls.openers), set(cls.closers)
-        total = 0
-        for i in range(1, n + 1):
-            above = sum(1 for a in openers if a > i)
-            below = sum(1 for a in closers if a < i)
-            term = prof.l[i - 1] + above + below
-            total += term
-            if (1 if i in openers else 0) + term != k:
-                failures.append(
-                    (text, f"element identity k = {k} at i={i}", str((i in openers) + term))
-                )
-        if len(openers) + total != n * k:
-            failures.append((text, f"summed identity nk = {n * k}", str(len(openers) + total)))
-    return cases, failures, {f"n={n},k={k}": cases}
-
-
-@_cell
-def _loslinv_cell(n: int, k: int) -> CellResult:
-    failures = []
-    cases = 0
-    for p in core.enumerate_partitions(n, k):
-        cases += 1
-        value = stats.coord_sum(p, CoordKind.LOS) + stats.linv_openers(p)
-        expected = sum(n - x + 1 for x in core.classify(p).openers if x != 1)
-        if value != expected:
-            failures.append((p.text(), f"los + linv over openers = {expected}", str(value)))
-    return cases, failures, {f"n={n},k={k}": cases}
-
-
-@_cell
 def _phii_cell(n: int, kk: int) -> CellResult:
     # kk is the number of blocks (k + 1 in the stat_i convention)
     failures = []
@@ -401,7 +413,6 @@ def _phii_cell(n: int, kk: int) -> CellResult:
     return cases, failures, {f"n={n},k={kk}": sum(len(m) for m in classes.values())}
 
 
-@_cell
 def _eq13_cell(m: int, kk: int) -> CellResult:
     # family: partitions of [m] into kk blocks; k = kk - 1
     failures = []
@@ -429,54 +440,6 @@ def _eq13_cell(m: int, kk: int) -> CellResult:
     return count * kk, failures, {f"n={m},k={kk}": count}
 
 
-@_cell
-def _motzkin_roundtrip_cell(n: int) -> CellResult:
-    failures = []
-    cases = 0
-    for p in core.enumerate_partitions(n):
-        cases += 1
-        try:
-            back = motzkin.decode(motzkin.encode(p))
-        except (motzkin.PathError, core.PartitionError, core.ProfileError) as exc:
-            failures.append((p.text(), "decode(encode(p)) = p", f"raised: {exc}"))
-            continue
-        if back != p:
-            failures.append((p.text(), "decode(encode(p)) = p", back.text()))
-    return cases, failures, {f"roundtrip n={n}": cases}
-
-
-@_cell
-def _motzkin_reflect_cell(n: int) -> CellResult:
-    failures = []
-    cases = 0
-    caught = (
-        motzkin.PathError,
-        bijections.ConsistencyError,
-        core.PartitionError,
-        core.ProfileError,
-    )
-    for p in core.enumerate_partitions(n):
-        cases += 1
-        try:
-            via_paths = motzkin.phi_via_paths(p)
-            direct = bijections.phi(p)
-        except caught as exc:
-            failures.append((p.text(), "phi via paths = phi", f"raised: {exc}"))
-            continue
-        if via_paths != direct:
-            failures.append((p.text(), direct.text(), via_paths.text()))
-        try:
-            path = motzkin.encode(p)
-            twice = motzkin.reflect(motzkin.reflect(path))
-        except caught as exc:
-            failures.append((p.text(), "reflect is an involution", f"raised: {exc}"))
-            continue
-        if twice != path:
-            failures.append((p.text(), "reflect is an involution", "differs"))
-    return cases, failures, {f"reflect n={n}": cases}
-
-
-@_cell
 def _motzkin_count_cell(n: int) -> CellResult:
     failures = []
     total = 0
@@ -498,7 +461,6 @@ def _motzkin_count_cell(n: int) -> CellResult:
     return total, failures, {f"paths n={n}": total}
 
 
-@_cell
 def _euler_cell(n: int, k: int) -> CellResult:
     failures = []
     count = 0
@@ -509,11 +471,8 @@ def _euler_cell(n: int, k: int) -> CellResult:
     sums: dict[str, dict[int, int]] = {name: {} for name in combo_names}
     for op in core.enumerate_ordered(n, k):
         count += 1
+        failures += [(op.text(), expected, actual) for expected, actual in _theorem2(op)]
         mak_, makp_, lmak_, lmakp_ = stats.four_stats(op)
-        if mak_ != lmakp_:
-            failures.append((op.text(), f"lmakp = mak = {mak_}", str(lmakp_)))
-        if makp_ != lmak_:
-            failures.append((op.text(), f"lmak = makp = {makp_}", str(lmak_)))
         bm, bi = stats.bmaj(op), stats.binv(op)
         base = {"mak": mak_, "makp": makp_, "lmak": lmak_, "lmakp": lmakp_}
         for stat_name, value in base.items():
@@ -533,68 +492,54 @@ def _euler_cell(n: int, k: int) -> CellResult:
     return count, failures, {f"n={n},k={k}": count}
 
 
-def _run_cell(task: tuple[str, tuple]) -> CellResult:
-    name, args = task
-    return _CELLS[name](*args)
-
-
 # ----------------------------------------------------------------------
 # suite driver
 # ----------------------------------------------------------------------
 
-SUITE_DEFAULT_N_MAX: dict[str, int] = {
-    "theorem1": 8,
-    "theorem2": 9,
-    "theorem3": 9,
-    "lemma1": 8,
-    "eq4": 8,
-    "los-linv": 8,
-    "phi-i": 7,
-    "eq13": 8,
-    "motzkin": 9,
-    "euler-mahonian": 7,
+# A task is a cell function and its arguments; module-level functions
+# pickle by reference, so tasks cross to worker processes as they are.
+Task = tuple[Callable[..., CellResult], tuple]
+
+
+def _nk(n_max: int) -> list[tuple[int, int]]:
+    return [(n, k) for n in range(n_max + 1) for k in range(0 if n == 0 else 1, n + 1)]
+
+
+def _each_nk(check: Check) -> Callable[[int], list[Task]]:
+    return lambda n_max: [(_each, (check, "", n, k)) for n, k in _nk(n_max)]
+
+
+def _cell_nk(cell: Callable[[int, int], CellResult]) -> Callable[[int], list[Task]]:
+    return lambda n_max: [(cell, nk) for nk in _nk(n_max)]
+
+
+# suite name -> (default n_max, tasks for a given n_max), in report order
+SUITES: dict[str, tuple[int, Callable[[int], list[Task]]]] = {
+    "theorem1": (8, lambda n_max: [(_each, (_theorem1, "", n)) for n in range(n_max + 1)]),
+    "theorem2": (9, _each_nk(_theorem2)),
+    "theorem3": (9, _cell_nk(_theorem3_cell)),
+    "lemma1": (8, _each_nk(_lemma1)),
+    "eq4": (8, _each_nk(_eq4)),
+    "los-linv": (8, _each_nk(_los_linv)),
+    "phi-i": (7, lambda n_max: [(_phii_cell, nk) for nk in _nk(n_max) if nk[1] >= 2]),
+    "eq13": (8, lambda n_max: [(_eq13_cell, nk) for nk in _nk(n_max - 1) if nk[1]]),
+    "motzkin": (
+        9,
+        lambda n_max: [(_each, (_motzkin_roundtrip, "roundtrip ", n)) for n in range(n_max + 1)]
+        + [(_each, (_motzkin_reflect, "reflect ", n)) for n in range(n_max)]
+        + [(_motzkin_count_cell, (n,)) for n in range(n_max + 1)],
+    ),
+    "euler-mahonian": (7, _cell_nk(_euler_cell)),
 }
 
-SUITE_NAMES: tuple[str, ...] = tuple(SUITE_DEFAULT_N_MAX)
+SUITE_DEFAULT_N_MAX: dict[str, int] = {name: n_max for name, (n_max, _) in SUITES.items()}
+
+SUITE_NAMES: tuple[str, ...] = tuple(SUITES)
 
 
-def _suite_tasks(name: str, n_max: int) -> list[tuple[str, tuple]]:
-    per_nk = lambda cell: [
-        (cell, (n, k)) for n in range(n_max + 1) for k in range(0 if n == 0 else 1, n + 1)
-    ]
-    if name == "theorem1":
-        return [("_theorem1_cell", (n,)) for n in range(n_max + 1)]
-    if name == "theorem2":
-        return per_nk("_theorem2_cell")
-    if name == "theorem3":
-        return per_nk("_theorem3_cell")
-    if name == "lemma1":
-        return per_nk("_lemma1_cell")
-    if name == "eq4":
-        return per_nk("_eq4_cell")
-    if name == "los-linv":
-        return per_nk("_loslinv_cell")
-    if name == "phi-i":
-        return [
-            ("_phii_cell", (n, kk))
-            for n in range(2, n_max + 1)
-            for kk in range(2, n + 1)
-        ]
-    if name == "eq13":
-        return [
-            ("_eq13_cell", (m, kk))
-            for m in range(0, n_max)
-            for kk in range(1, m + 1)
-        ]
-    if name == "motzkin":
-        tasks: list[tuple[str, tuple]] = []
-        tasks += [("_motzkin_roundtrip_cell", (n,)) for n in range(n_max + 1)]
-        tasks += [("_motzkin_reflect_cell", (n,)) for n in range(max(0, n_max))]
-        tasks += [("_motzkin_count_cell", (n,)) for n in range(n_max + 1)]
-        return tasks
-    if name == "euler-mahonian":
-        return per_nk("_euler_cell")
-    raise ValueError(f"unknown suite {name!r}")
+def _run(task: Task) -> CellResult:
+    fn, args = task
+    return fn(*args)
 
 
 def _worker_count(threads: int, cpus: int | None, tasks: int) -> int:
@@ -610,20 +555,20 @@ def run_suite(
     max_witnesses: int = 10,
 ) -> VerificationReport:
     """Run one suite and aggregate its cells into a report."""
-    if name not in SUITE_DEFAULT_N_MAX:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    if n_max is None:
-        n_max = SUITE_DEFAULT_N_MAX[name]
-    tasks = _suite_tasks(name, n_max)
+    default_n_max, build = SUITES[name]
+    n_max = default_n_max if n_max is None else n_max
+    tasks = build(n_max)
     start = time.perf_counter()
     workers = _worker_count(threads, os.cpu_count(), len(tasks))
     if workers == 1:
-        results = [_run_cell(t) for t in tasks]
+        results = [_run(t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, tasks))
+            results = list(pool.map(_run, tasks))
     cases = 0
     failures: list[Failure] = []
     failure_count = 0

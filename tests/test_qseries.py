@@ -42,6 +42,15 @@ def test_construction_and_views():
         QPolynomial((1.5,))
 
 
+def test_text_and_json_refuse_huge_exponents():
+    # a dense list with a billion entries would be allocated otherwise
+    with pytest.raises(ValueError, match="exponent 1000000000 exceeds"):
+        QPolynomial.parse("q^1000000000")
+    with pytest.raises(ValueError, match="exponent 1000000000 exceeds"):
+        QPolynomial.from_json_dict({"coeffs": {"1000000000": 1}})
+    assert QPolynomial.parse("q^1000000").degree == 10**6
+
+
 def test_text_forms():
     assert QPolynomial((0, -1, 2)).text() == "-q + 2*q^2"
     assert QPolynomial((5,)).text() == "5"

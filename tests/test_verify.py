@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 import oracles
+from setpart import bijections, core, motzkin, stats
 from setpart.qseries import QPolynomial, generating_function, q_stirling
 from setpart.core import PartitionError, enumerate_partitions
 from setpart.verify import (
@@ -84,10 +87,58 @@ def test_failed_report_rendering():
 
 
 def test_threads_do_not_change_the_report():
-    one = run_suite("theorem3", n_max=6, threads=1).to_json_dict()
-    two = run_suite("theorem3", n_max=6, threads=2).to_json_dict()
-    del one["wall_time_s"], two["wall_time_s"]
-    assert one == two
+    # every suite's tasks pickle, and the merged report is the same
+    for name in SUITE_NAMES:
+        n_max = 6 if name == "theorem3" else 5
+        one = run_suite(name, n_max=n_max, threads=1).to_json_dict()
+        two = run_suite(name, n_max=n_max, threads=2).to_json_dict()
+        del one["wall_time_s"], two["wall_time_s"]
+        assert one == two, name
+
+
+def _altered(fn, change):
+    # fn with change applied to its result
+    return lambda *args: change(fn(*args))
+
+
+def _plus_one(value):
+    return value + 1
+
+
+def _plus_one_at(i):
+    return lambda values: values[:i] + (values[i] + 1,) + values[i + 1 :]
+
+
+# One fault per suite, each in something the suite checks.
+_FAULTS = {
+    "theorem1": (stats, "makp", _altered(stats.makp, _plus_one)),
+    "theorem2": (stats, "four_stats", _altered(stats.four_stats, _plus_one_at(3))),
+    "theorem3": (stats, "four_stats", _altered(stats.four_stats, _plus_one_at(2))),
+    "lemma1": (stats, "four_stats", _altered(stats.four_stats, _plus_one_at(0))),
+    "eq4": (
+        core,
+        "trace_profile",
+        _altered(core.trace_profile, lambda t: dataclasses.replace(t, l=tuple(x + 1 for x in t.l))),
+    ),
+    "los-linv": (stats, "linv_openers", _altered(stats.linv_openers, _plus_one)),
+    "phi-i": (bijections, "phi_i", lambda p, i: p),
+    "eq13": (stats, "nrinv", _altered(stats.nrinv, _plus_one)),
+    "motzkin": (
+        motzkin,
+        "enumerate_paths",
+        _altered(motzkin.enumerate_paths, lambda paths: list(paths)[1:]),
+    ),
+    "euler-mahonian": (stats, "bmaj", _altered(stats.bmaj, _plus_one)),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_suite_fails_on_a_fault(name, monkeypatch):
+    module, attr, faulty = _FAULTS[name]
+    monkeypatch.setattr(module, attr, faulty)
+    report = run_suite(name, n_max=5, threads=1)
+    assert report.failure_count > 0
+    assert "result: FAIL" in report.render_text()
 
 
 def test_run_all_covers_every_suite():
