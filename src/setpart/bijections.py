@@ -2,15 +2,13 @@
 Bijections on canonical set partitions.
 
 ``phi`` is the involution exchanging the statistics mak and makp.  It
-works in four steps: read off the gamma labels of the closers and
-passants of the source, mirror the four element classes through
-i -> n+1-i (singletons stay singletons, non-singleton openers and
-closers trade places, passants stay passants), transfer the labels
-(the mirror image of opener a takes the gamma of the closer matched to
-a by level, while each passant keeps its own gamma at the mirrored
-position), and rebuild by inserting elements in increasing order, each
-closer or passant into the gamma-th incomplete block from the left, an
-incoming closer sealing its block.
+mirrors the source's trace profile through i -> n+1-i in one pass from
+element n down to 1: singletons stay singletons, non-singleton openers
+and closers trade places, passants stay passants and keep their own
+gamma, and the mirror image of opener a takes the gamma of the closer
+matched to a by level.  The image is then rebuilt from that profile,
+each closer or passant inserted into the gamma-th incomplete block from
+the left, an incoming closer sealing its block.
 
 The level matching is load-bearing, not a tie-break.  Opener a sits at
 trace level l_a, its matched closer at level l_a + 1, and the mirrored
@@ -33,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    CLOSER,
+    OPENER,
+    SINGLETON,
     ElementClassification,
-    Kind,
     PartitionError,
     ProfileError,
     SetPartition,
@@ -97,47 +97,34 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
     f_row = GammaRow(f_values, tuple(profile.gamma[i - 1] for i in f_values))
     p_row = GammaRow(p_values, tuple(profile.gamma[i - 1] for i in p_values))
 
-    mirror = lambda xs: tuple(sorted(n + 1 - x for x in xs))
-    new_singletons = mirror(cls.singletons)
-    new_openers = mirror(f_values)  # closers become openers
-    new_closers = mirror(cls.opener_nonsingletons)
-    new_passants = mirror(p_values)
-
-    matching = _level_matching(cls, profile)
-    gamma_at = {n + 1 - a: profile.gamma[c - 1] for a, c in matching.items()}
-    gamma_at.update((n + 1 - q, profile.gamma[q - 1]) for q in p_values)
-
-    kind_at = {j: Kind.SINGLETON for j in new_singletons}
-    kind_at.update((j, Kind.OPENER) for j in new_openers)
-    kind_at.update((j, Kind.CLOSER) for j in new_closers)
-    kind_at.update((j, Kind.PASSANT) for j in new_passants)
-
-    kinds: list[Kind] = []
-    gamma: list[int] = []
-    h = 0
-    for j in range(1, n + 1):
-        kind = kind_at[j]
+    # Reading the source profile from n down to 1 writes the image profile
+    # left to right.  The mirror of a source opener takes the gamma of the
+    # closer pushed last onto ``pending``, the one matched to it by level.
+    kinds, gamma, pending = [], [], []
+    for kind, g in zip(reversed(profile.kinds), reversed(profile.gamma)):
+        if kind is CLOSER:
+            kind = OPENER
+            pending.append(g)
+            g = len(pending)
+        elif kind is OPENER:
+            kind = CLOSER
+            g = pending.pop()
+        elif kind is SINGLETON:
+            g = len(pending) + 1
         kinds.append(kind)
-        if kind in (Kind.OPENER, Kind.SINGLETON):
-            gamma.append(h + 1)
-            if kind is Kind.OPENER:
-                h += 1
-        else:
-            gamma.append(gamma_at[j])
-            if kind is Kind.CLOSER:
-                h -= 1
+        gamma.append(g)
     try:
         image = rebuild_from_profile(kinds, gamma)
     except ProfileError as exc:
         raise ConsistencyError(f"transferred labels rejected: {exc}") from exc
 
-    image_f = GammaRow(new_closers, tuple(gamma_at[j] for j in new_closers))
-    image_p = GammaRow(new_passants, tuple(gamma_at[j] for j in new_passants))
-
+    mirror = lambda xs: tuple(n + 1 - x for x in reversed(xs))
+    new_closers = mirror(cls.opener_nonsingletons)
+    new_passants = mirror(p_values)
     image_cls = classify(image)
     if (
-        image_cls.singletons != new_singletons
-        or image_cls.opener_nonsingletons != new_openers
+        image_cls.singletons != mirror(cls.singletons)
+        or image_cls.opener_nonsingletons != mirror(f_values)
         or image_cls.closer_nonsingletons != new_closers
         or image_cls.passants != new_passants
     ):
@@ -147,8 +134,8 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
         image=image,
         source_f=f_row,
         source_p=p_row,
-        image_f=image_f,
-        image_p=image_p,
+        image_f=GammaRow(new_closers, tuple(gamma[j - 1] for j in new_closers)),
+        image_p=GammaRow(new_passants, tuple(gamma[j - 1] for j in new_passants)),
     )
 
 

@@ -29,6 +29,16 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+class _Refused(Exception):
+    """A request refused before any work: exit 2 with one error line."""
+
+
+def _within_budget(size: int) -> None:
+    """Refuse an enumeration of ``size`` partitions above the budget."""
+    if size > verify.ENUMERATION_BUDGET:
+        raise _Refused(f"would enumerate {size} partitions, at most {verify.ENUMERATION_BUDGET}")
+
+
 # ----------------------------------------------------------------------
 # subcommand implementations
 # ----------------------------------------------------------------------
@@ -94,8 +104,9 @@ def cmd_stats(args) -> int:
     return 0
 
 
-# Largest n that genfun accepts: the mak DP's state grows about as n^4
-# integers, and every other statistic walks all Bell(n) partitions.
+# Largest n that genfun and qstirling accept: the mak DP's state grows
+# about as n^4 integers, and q_stirling(64, k) for all k takes seconds.
+# Statistics without a DP are held to verify.ENUMERATION_BUDGET as well.
 GENFUN_N_MAX = 64
 
 
@@ -160,6 +171,8 @@ def cmd_genfun(args) -> int:
     def rows(ks: list[int]):
         # _per_k reads -k before the first row, so a bad -k never runs the kernel
         fast = args.stat == "mak" and not args.ordered
+        if not fast:
+            _within_budget(sum(verify.family_size(n, k, args.ordered) for k in ks))
         hists = verify.mak_histograms(n) if fast else None
         for k in ks:
             poly = genfun_for(k, hists)
@@ -187,6 +200,9 @@ def cmd_qstirling(args) -> int:
     n = args.n
     if n < 0:
         print("error: n must be non-negative", file=sys.stderr)
+        return 2
+    if n > GENFUN_N_MAX:
+        print(f"error: n must be at most {GENFUN_N_MAX}", file=sys.stderr)
         return 2
     make = qseries.shifted_stirling if args.shifted else qseries.q_stirling
 
@@ -253,7 +269,11 @@ def cmd_verify(args) -> int:
     if args.n_max is not None and args.n_max < 0:
         print("error: --n-max must be non-negative", file=sys.stderr)
         return 2
+    if args.max_witnesses < 0:
+        print("error: --max-witnesses must be non-negative", file=sys.stderr)
+        return 2
     names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
+    _within_budget(sum(verify.suite_size(name, args.n_max) for name in names))
     reports = [
         verify.run_suite(
             name, n_max=args.n_max, threads=args.threads, max_witnesses=args.max_witnesses
@@ -406,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, bijections.ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,13 @@ Partitions are immutable, so each object computes its classification
 and its trace profile once, on first request, and keeps them in its
 instance dict next to the cached ``blocks`` view (``_memo``); they live
 exactly as long as the object and take no part in equality or hashing.
+
+Validation happens at the boundary only: the public constructors
+(``SetPartition(word)``, ``from_rgf``, ``from_blocks``, ``RgfWord``,
+``OrderedSetPartition``) and the parsers check everything they are given.
+Words that this module builds valid by construction (enumeration,
+``from_blocks`` after its block check, ``rebuild_from_profile``) go
+through the private ``SetPartition._trusted`` without a second check.
 """
 
 from __future__ import annotations
@@ -79,6 +86,10 @@ class Kind(enum.Enum):
     CLOSER = "closer"
     PASSANT = "passant"
     SINGLETON = "singleton"
+
+
+# Module names for the members: unlike ``Kind.OPENER``, no metaclass lookup.
+OPENER, CLOSER, PASSANT, SINGLETON = Kind
 
 
 def _check_rgf(letters: Sequence[int]) -> None:
@@ -178,6 +189,13 @@ class SetPartition:
         _check_rgf(self.word)
 
     @classmethod
+    def _trusted(cls, word: tuple[int, ...]) -> "SetPartition":
+        """The partition of ``word``, built valid by the caller; no check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "word", word)
+        return p
+
+    @classmethod
     def from_rgf(cls, word: RgfWord | Sequence[int]) -> "SetPartition":
         letters = word.letters if isinstance(word, RgfWord) else tuple(word)
         return cls(letters)
@@ -186,7 +204,7 @@ class SetPartition:
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
         cleaned = _validate_blocks(blocks)
         cleaned.sort(key=lambda b: b[0])
-        return cls(_word_from_blocks(cleaned))
+        return cls._trusted(_word_from_blocks(cleaned))
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -269,40 +287,30 @@ def format_blocks(blocks: Sequence[Sequence[int]]) -> str:
 
 
 def _parse_blocks(text: str) -> list[list[int]]:
-    blocks: list[list[int]] = []
-    current: list[int] = []
-    digits = ""
-    digits_at = 0
-
-    def flush_element(pos: int) -> None:
-        nonlocal digits
-        if not digits:
-            raise ParseError("expected an element", pos)
-        current.append(int(digits))
-        digits = ""
-
-    stripped_any = False
-    for pos, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        stripped_any = True
-        if ch.isdigit():
-            if not digits:
-                digits_at = pos
-            digits += ch
-        elif ch == ",":
-            flush_element(pos)
-        elif ch == "/":
-            flush_element(pos)
-            blocks.append(current)
-            current = []
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-    if not stripped_any:
+    compact = "".join(text.split())
+    if not compact:
         return []
-    flush_element(len(text))
-    blocks.append(current)
-    return blocks
+    blocks = [block.split(",") for block in compact.split("/")]
+    if not all(map(str.isdigit, itertools.chain.from_iterable(blocks))):
+        raise _parse_error(text, compact)
+    return [list(map(int, block)) for block in blocks]
+
+
+def _parse_error(text: str, compact: str) -> ParseError:
+    """The error at the first element of ``compact`` (``text`` without
+    whitespace) that is empty (placed at the separator after it, or the
+    end) or holds a non-digit (at that character), located in ``text``."""
+    at = 0
+    for element in re.split("[,/]", compact):
+        if not element.isdigit():
+            break
+        int(element)  # read in order, so one int() rejects ("1²") raises first
+        at += len(element) + 1
+    positions = [pos for pos, ch in enumerate(text) if not ch.isspace()] + [len(text)]
+    for i, ch in enumerate(element):
+        if not ch.isdigit():
+            return ParseError(f"unexpected character {ch!r}", positions[at + i])
+    return ParseError("expected an element", positions[at])
 
 
 def parse_ordered(text: str) -> OrderedSetPartition:
@@ -430,18 +438,18 @@ def _trace_pass(p: SetPartition) -> TraceProfile:
             top = letter
             gammas.append(len(incomplete) + 1)
             if last[letter] == i:
-                kinds.append(Kind.SINGLETON)
+                kinds.append(SINGLETON)
             else:
-                kinds.append(Kind.OPENER)
+                kinds.append(OPENER)
                 incomplete.append(letter)
         else:
             pos = bisect_left(incomplete, letter)
             gammas.append(pos + 1)
             if last[letter] == i:
-                kinds.append(Kind.CLOSER)
+                kinds.append(CLOSER)
                 del incomplete[pos]
             else:
-                kinds.append(Kind.PASSANT)
+                kinds.append(PASSANT)
     return TraceProfile(kinds=tuple(kinds), l=tuple(ls), gamma=tuple(gammas))
 
 
@@ -460,14 +468,14 @@ def rebuild_from_profile(kinds: Sequence[Kind], gamma: Sequence[int]) -> SetPart
     top = 0
     for i, (kind, g) in enumerate(zip(kinds, gamma), start=1):
         count = len(incomplete)
-        if kind in (Kind.OPENER, Kind.SINGLETON):
+        if kind is OPENER or kind is SINGLETON:
             if g != count + 1:
                 raise ProfileError(
                     f"element {i}: a new block must carry gamma {count + 1}, got {g}"
                 )
             top += 1
             word.append(top)
-            if kind is Kind.OPENER:
+            if kind is OPENER:
                 incomplete.append(top)
         else:
             if not 1 <= g <= count:
@@ -475,11 +483,11 @@ def rebuild_from_profile(kinds: Sequence[Kind], gamma: Sequence[int]) -> SetPart
                     f"element {i}: gamma {g} outside the {count} incomplete blocks"
                 )
             word.append(incomplete[g - 1])
-            if kind is Kind.CLOSER:
+            if kind is CLOSER:
                 del incomplete[g - 1]
     if incomplete:
         raise ProfileError("profile ends with unclosed blocks")
-    return SetPartition(tuple(word))
+    return SetPartition._trusted(tuple(word))
 
 
 def _rgf_words(n: int, k: int | None) -> Iterator[tuple[int, ...]]:
@@ -518,7 +526,7 @@ def enumerate_partitions(n: int, k: int | None = None) -> Iterator[SetPartition]
     if n < 0 or (k is not None and k < 0):
         raise PartitionError("n and k must be non-negative")
     for word in _rgf_words(n, k):
-        yield SetPartition(word)
+        yield SetPartition._trusted(word)
 
 
 def enumerate_ordered(n: int, k: int | None = None) -> Iterator[OrderedSetPartition]:

@@ -21,6 +21,11 @@ NE step leaving height h is paired with the leftmost unpaired SE step
 leaving height h+1.  Up- and down-crossings of every level balance, so
 the pairing always exists.  Decoding the reflection of the encoding of
 p gives exactly ``bijections.phi(p)``.
+
+Validation happens at the boundary only: the ``LabeledMotzkinPath``
+constructor, ``parse``, ``from_json_dict`` and ``reflect`` check every
+step.  ``encode`` builds its path from a trace profile, which is valid by
+construction, through the private ``LabeledMotzkinPath._trusted``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Kind, SetPartition, rebuild_from_profile, trace_profile
+from .core import CLOSER, OPENER, PASSANT, SINGLETON
+from .core import SetPartition, rebuild_from_profile, trace_profile
 
 NE, SE, E = "NE", "SE", "E"
 _KINDS = (NE, SE, E)
@@ -81,6 +87,13 @@ class LabeledMotzkinPath:
                     h -= 1
         if h != 0:
             raise PathError(f"path ends at height {h}, not 0")
+
+    @classmethod
+    def _trusted(cls, steps: tuple[Step, ...]) -> "LabeledMotzkinPath":
+        """The path of ``steps``, built valid by the caller; no check."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        return path
 
     @property
     def n(self) -> int:
@@ -155,38 +168,41 @@ class LabeledMotzkinPath:
         return cls(tuple(steps))
 
 
+# Every opener and singleton step is the same; steps are immutable.
+_NE1 = Step(NE, 1)
+_E1_STAR = Step(E, 1, starred=True)
+
+
 def encode(p: SetPartition) -> LabeledMotzkinPath:
     """The labeled path of a canonical partition."""
     profile = trace_profile(p)
-    steps = []
-    for kind, g in zip(profile.kinds, profile.gamma):
-        if kind is Kind.OPENER:
-            steps.append(Step(NE, 1))
-        elif kind is Kind.SINGLETON:
-            steps.append(Step(E, 1, starred=True))
-        elif kind is Kind.CLOSER:
-            steps.append(Step(SE, g))
-        else:
-            steps.append(Step(E, g))
-    return LabeledMotzkinPath(tuple(steps))
+    steps = [
+        _NE1 if kind is OPENER
+        else _E1_STAR if kind is SINGLETON
+        else Step(SE if kind is CLOSER else E, g)
+        for kind, g in zip(profile.kinds, profile.gamma)
+    ]
+    return LabeledMotzkinPath._trusted(tuple(steps))
 
 
 def decode(path: LabeledMotzkinPath) -> SetPartition:
     """The partition whose encoding is ``path`` (profile rebuild)."""
-    heights = path.heights()
     kinds, gammas = [], []
-    for step, h in zip(path.steps, heights):
+    h = 0  # height before the step
+    for step in path.steps:
         if step.kind == NE:
-            kinds.append(Kind.OPENER)
-            gammas.append(h + 1)
+            kinds.append(OPENER)
+            h += 1
+            gammas.append(h)
         elif step.kind == SE:
-            kinds.append(Kind.CLOSER)
+            kinds.append(CLOSER)
             gammas.append(step.label)
+            h -= 1
         elif step.starred:
-            kinds.append(Kind.SINGLETON)
+            kinds.append(SINGLETON)
             gammas.append(h + 1)
         else:
-            kinds.append(Kind.PASSANT)
+            kinds.append(PASSANT)
             gammas.append(step.label)
     return rebuild_from_profile(kinds, gammas)
 
@@ -224,7 +240,7 @@ def reflect(path: LabeledMotzkinPath) -> LabeledMotzkinPath:
         if step.kind == NE:
             out.append(Step(SE, label_for[idx]))
         elif step.kind == SE:
-            out.append(Step(NE, 1))
+            out.append(_NE1)
         else:
             out.append(step)
     return LabeledMotzkinPath(tuple(out))
@@ -258,11 +274,11 @@ def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
                     yield from rec(i + 1, h)
                     steps.pop()
         if h <= rem:
-            steps.append(Step(E, 1, starred=True))
+            steps.append(_E1_STAR)
             yield from rec(i + 1, h)
             steps.pop()
         if h + 1 <= rem:
-            steps.append(Step(NE, 1))
+            steps.append(_NE1)
             yield from rec(i + 1, h + 1)
             steps.pop()
 

@@ -37,6 +37,7 @@ Suite names are fixed CLI vocabulary:
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import Counter, defaultdict
@@ -117,7 +118,7 @@ def stirling2(n: int, k: int) -> int:
     """Plain Stirling numbers of the second kind, additive recurrence."""
     if n == 0 or k == 0:
         return 1 if n == k else 0
-    if k > n:
+    if not 0 < k <= n:
         return 0
     prev = [1] + [0] * k
     for _ in range(n):
@@ -126,6 +127,20 @@ def stirling2(n: int, k: int) -> int:
             cur[j] = prev[j - 1] + j * prev[j]
         prev = cur
     return prev[k]
+
+
+def family_size(n: int, k: int | None = None, ordered: bool = False) -> int:
+    """How many partitions of [n] there are (into k blocks if given;
+    ordered ones, k! S(n, k) per k, if ``ordered``)."""
+    if k is None:
+        return sum(family_size(n, j, ordered) for j in range(n + 1))
+    count = stirling2(n, k)  # 0 for k < 0, where k! is undefined
+    return count * math.factorial(k) if ordered and count else count
+
+
+# Most partitions (or paths) one command may enumerate, about a minute of
+# per-partition work; the largest default suite walks 58,182.
+ENUMERATION_BUDGET = 10**6
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +270,7 @@ def _lemma1(p: core.SetPartition) -> Iterator[tuple[str, str]]:
     cls = core.classify(p)
     closers_below_total = sum(n - a for a in cls.closers)
     mid = [
-        idx for idx, kind in enumerate(prof.kinds) if kind in (core.Kind.CLOSER, core.Kind.PASSANT)
+        idx for idx, kind in enumerate(prof.kinds) if kind is core.CLOSER or kind is core.PASSANT
     ]
     mak_, makp_, _, _ = stats.four_stats(p)
     eq5 = sum(prof.l[idx] - prof.gamma[idx] for idx in mid) + closers_below_total
@@ -535,6 +550,20 @@ SUITES: dict[str, tuple[int, Callable[[int], list[Task]]]] = {
 SUITE_DEFAULT_N_MAX: dict[str, int] = {name: n_max for name, (n_max, _) in SUITES.items()}
 
 SUITE_NAMES: tuple[str, ...] = tuple(SUITES)
+
+
+def suite_size(name: str, n_max: int | None = None) -> int:
+    """How many partitions and paths suite ``name`` builds up to
+    ``n_max``, counted from its tasks without building any."""
+    default_n_max, build = SUITES[name]
+    total = 0
+    for fn, args in build(default_n_max if n_max is None else n_max):
+        if fn is _each:
+            args = args[2:]  # (check, label, n[, k])
+        total += family_size(*args, ordered=fn is _euler_cell)
+        if fn is _theorem3_cell and args[1]:  # the recurrence re-walks n - 1
+            total += family_size(args[0] - 1, args[1] - 1) + family_size(args[0] - 1, args[1])
+    return total
 
 
 def _run(task: Task) -> CellResult:

@@ -52,6 +52,17 @@ def test_label_transfer_needs_the_level_matching():
     assert makp(p) == mak(cert.image)
 
 
+def test_transferred_labels_follow_the_greedy_level_matching():
+    # phi pairs openers with closers by a stack in its reversed pass; the
+    # greedy matching by level must give every image closer the same gamma
+    for n in range(9):
+        for p in enumerate_partitions(n):
+            gamma = trace_profile(p).gamma
+            want = {n + 1 - a: gamma[c - 1] for a, c in match_openers_closers(p).items()}
+            image_f = phi_certificate(p).image_f
+            assert dict(zip(image_f.values, image_f.gammas)) == want
+
+
 def test_involution_and_exchange_exhaustive():
     for n in range(8):
         for p in enumerate_partitions(n):

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from setpart import cli
+from setpart import cli, core, stats
 from setpart.stats import CoordKind
 
 from test_stats import P2_ORDER, P2_ROWS
@@ -219,6 +219,31 @@ def test_genfun_rejects_n_above_the_cap(capsys):
     assert (code, err) == (2, "error: n must be at most 64\n")
 
 
+def _no_enumeration(*args):
+    raise AssertionError("enumerated before the size check")
+
+
+def test_genfun_refuses_enumerations_above_the_budget(capsys, monkeypatch):
+    monkeypatch.setattr(core, "enumerate_partitions", _no_enumeration)
+    monkeypatch.setattr(core, "enumerate_ordered", _no_enumeration)
+    for argv, size in (
+        (["genfun", "-n", "20", "-s", "makp"], 51724158235372),
+        (["genfun", "-n", "12", "-s", "lmak"], 4213597),
+        (["genfun", "-n", "10", "-k", "5", "--ordered", "-s", "mak+bmaj"], 5103000),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: would enumerate {size} partitions, at most 1000000\n"
+
+
+def test_genfun_budget_counts_only_the_requested_k(capsys):
+    # one partition of [20] into one block; mak alone never enumerates
+    code, out, _ = run(["genfun", "-n", "20", "-k", "1", "-s", "makp"], capsys)
+    assert (code, out) == (0, "1\n")
+    code, _, _ = run(["genfun", "-n", "20", "-k", "10"], capsys)
+    assert code == 0
+
+
 def test_genfun_bad_k(capsys):
     code, _, err = run(["genfun", "-n", "3", "-k", "two"], capsys)
     assert code == 2
@@ -246,6 +271,13 @@ def test_qstirling_all(capsys):
     code, out, _ = run(["qstirling", "-n", "3"], capsys)
     assert code == 0
     assert out == "k=0: 0\nk=1: 1\nk=2: 2*q + q^2\nk=3: q^3\n"
+
+
+def test_qstirling_rejects_n_above_the_cap(capsys):
+    code, out, err = run(["qstirling", "-n", "65"], capsys)
+    assert (code, out, err) == (2, "", "error: n must be at most 64\n")
+    code, _, err = run(["qstirling", "-n", "100", "--shifted"], capsys)
+    assert (code, err) == (2, "error: n must be at most 64\n")
 
 
 def test_qstirling_shifted_out_of_range(capsys):
@@ -397,6 +429,34 @@ def test_verify_bad_flags(capsys):
     code, _, err = run(["verify", "theorem2", "--threads", "0"], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_verify_refuses_ranges_above_the_budget(capsys, monkeypatch):
+    monkeypatch.setattr(core, "enumerate_partitions", _no_enumeration)
+    code, out, err = run(["verify", "theorem2", "--n-max", "14"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: would enumerate 223578344 partitions, at most 1000000\n"
+    code, out, err = run(["verify", "all", "--n-max", "9"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: would enumerate ") and err.count("\n") == 1
+
+
+def test_verify_rejects_negative_max_witnesses(capsys):
+    code, out, err = run(["verify", "theorem2", "--n-max", "2", "--max-witnesses", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: --max-witnesses must be non-negative\n")
+
+
+def test_verify_max_witnesses_caps_fail_lines_not_the_count(capsys, monkeypatch):
+    four_stats = stats.four_stats
+    # lmakp off by one: every partition fails theorem2
+    monkeypatch.setattr(stats, "four_stats", lambda p: four_stats(p)[:3] + (four_stats(p)[3] + 1,))
+    argv = ["verify", "theorem2", "--n-max", "4"]
+    code, out, _ = run(argv + ["--max-witnesses", "1"], capsys)
+    assert code == 1
+    assert sum(line.startswith("FAIL ") for line in out.splitlines()) == 1
+    assert "failures: 24\n" in out  # B(0) + ... + B(4) partitions
+    _, out, _ = run(argv + ["--max-witnesses", "0"], capsys)
+    assert "FAIL " not in out and "failures: 24\n" in out and "result: FAIL" in out
 
 
 def test_threads_below_one_rejected_by_every_subcommand(capsys):

@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from setpart import core
 from setpart.core import (
     Kind,
     OrderedSetPartition,
@@ -22,6 +23,7 @@ from setpart.core import (
     parse_rgf,
     rebuild_from_profile,
     trace_profile,
+    _check_rgf,
 )
 
 EX_TEXT = "1,4,8/2/3,7,9/5,6"
@@ -97,6 +99,49 @@ def test_parse_position_errors():
     assert err.value.position == 4
     with pytest.raises(ParseError):
         parse_partition("1,2/")
+
+
+# Malformed text -> (message, position); whitespace is ignored everywhere,
+# also between digits, and positions count it.
+MALFORMED = {
+    ",1": ("expected an element", 0),
+    "1,": ("expected an element", 2),
+    "1//2": ("expected an element", 2),
+    "1,,2": ("expected an element", 2),
+    "1,2/x": ("unexpected character 'x'", 4),
+    "1,2/": ("expected an element", 4),
+    "1 2/3": ("element 1 is missing (ground set has 2 elements)", None),
+    " , ": ("expected an element", 1),
+    "1,2/ /3": ("expected an element", 5),
+    "/": ("expected an element", 0),
+    "1, x": ("unexpected character 'x'", 3),
+    "  1 , 2 / 3 x": ("unexpected character 'x'", 12),
+    "1\t,\n2/3/;": ("unexpected character ';'", 8),
+    "1,2//": ("expected an element", 4),
+    "2": ("element 1 is missing (ground set has 1 elements)", None),
+    "1,2/0": ("element 0 in block 2 is not a positive integer", None),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_text_messages_and_positions(text):
+    message, position = MALFORMED[text]
+    for parse in (parse_partition, parse_ordered):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+        suffix = "" if position is None else f" (position {position})"
+        assert str(err.value) == message + suffix
+
+
+def test_digit_that_int_rejects_fails_before_a_later_error():
+    # "²" counts as a digit, so "1²" is an element that int() refuses;
+    # it is read before the bad "x" that follows
+    for text in ("1²", "1²,x"):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_partition(text)
+    with pytest.raises(ParseError, match="unexpected character 'x' \\(position 1\\)"):
+        parse_partition("²x")
 
 
 def test_semantic_parse_errors_carry_no_position():
@@ -233,6 +278,37 @@ def test_rebuild_rejects_impossible_profiles():
         rebuild_from_profile([Kind.OPENER], [1])
     with pytest.raises(ProfileError, match="different lengths"):
         rebuild_from_profile([Kind.SINGLETON], [1, 1])
+
+
+def test_kind_members_have_module_names():
+    assert core.OPENER is Kind.OPENER
+    assert core.CLOSER is Kind.CLOSER
+    assert core.PASSANT is Kind.PASSANT
+    assert core.SINGLETON is Kind.SINGLETON
+
+
+def _trusted_builds(p):
+    """What each site that skips the word check builds for ``p``."""
+    profile = trace_profile(p)
+    yield rebuild_from_profile(profile.kinds, profile.gamma)
+    yield SetPartition.from_blocks([block[::-1] for block in reversed(p.blocks)])
+    yield parse_partition(" / ".join(",".join(map(str, b)) for b in reversed(p.blocks)))
+
+
+def test_trusted_sites_build_valid_words():
+    # enumeration, from_blocks and the profile rebuild skip _check_rgf:
+    # every word they build must pass it
+    enumerated = [p for n in range(9) for p in enumerate_partitions(n)]
+    enumerated += [p for n in range(9) for k in range(n + 1) for p in enumerate_partitions(n, k)]
+    assert len(enumerated) == 2 * sum(oracles.bell(n) for n in range(9))
+    seeded = [SetPartition(word) for word in SEEDED_WORDS]
+    for p in enumerated + seeded:
+        assert type(p.word) is tuple
+        _check_rgf(p.word)
+        for q in _trusted_builds(p):
+            assert type(q.word) is tuple
+            _check_rgf(q.word)
+            assert q == p and hash(q) == hash(p)
 
 
 def test_enumeration_counts_match_bell_and_stirling():

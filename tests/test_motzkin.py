@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from setpart.bijections import phi
-from setpart.core import enumerate_partitions, parse_partition
+from setpart.core import SetPartition, enumerate_partitions, parse_partition
 from setpart.motzkin import (
     E,
     NE,
@@ -17,6 +17,8 @@ from setpart.motzkin import (
     phi_via_paths,
     reflect,
 )
+
+from test_core import SEEDED_WORDS
 
 P3 = parse_partition("1,4,8/2/3,7,9/5,6")
 P3_PATH = "NE(1) E(1*) NE(1) E(1) NE(1) SE(3) E(2) SE(1) SE(1)"
@@ -50,6 +52,18 @@ def test_decode_inverts_encode():
     for n in range(8):
         for p in enumerate_partitions(n):
             assert decode(encode(p)) == p
+
+
+def test_encoded_paths_pass_the_validating_constructor():
+    # encode builds its path without the step checks
+    partitions = [p for n in range(9) for p in enumerate_partitions(n)]
+    partitions += [SetPartition(word) for word in SEEDED_WORDS]
+    for p in partitions:
+        path = encode(p)
+        assert type(path.steps) is tuple
+        checked = LabeledMotzkinPath(path.steps)
+        assert checked == path and hash(checked) == hash(path)
+        assert LabeledMotzkinPath.parse(path.text()) == path
 
 
 def test_reflect_is_an_involution():

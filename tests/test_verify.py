@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from collections import Counter
 
 import pytest
 
@@ -7,16 +9,19 @@ from setpart import bijections, core, motzkin, stats
 from setpart.qseries import QPolynomial, generating_function, q_stirling
 from setpart.core import PartitionError, enumerate_partitions
 from setpart.verify import (
+    ENUMERATION_BUDGET,
     SUITE_DEFAULT_N_MAX,
     SUITE_NAMES,
     Failure,
     VerificationReport,
     bell_number,
+    family_size,
     mak_histograms,
     mak_polynomial,
     run_all,
     run_suite,
     stirling2,
+    suite_size,
     _worker_count,
 )
 
@@ -202,6 +207,50 @@ def test_worker_count_is_clamped():
     assert _worker_count(4, None, 100) == 1
     assert _worker_count(4, 8, 0) == 1
     assert _worker_count(0, 8, 100) == 1
+
+
+def test_family_size_counts_without_enumerating():
+    for n in range(9):
+        assert family_size(n) == oracles.bell(n)
+        assert family_size(n, ordered=True) == sum(1 for _ in core.enumerate_ordered(n))
+        for k in range(n + 2):
+            assert family_size(n, k) == oracles.stirling(n, k)
+            assert family_size(n, k, ordered=True) == math.factorial(k) * oracles.stirling(n, k)
+    assert family_size(3, -1) == 0 and family_size(3, -1, ordered=True) == 0
+    assert family_size(20) == 51724158235372
+    assert family_size(0) == family_size(0, 0) == 1
+
+
+def test_every_default_range_fits_the_budget():
+    for name in SUITE_NAMES:
+        assert suite_size(name) == suite_size(name, SUITE_DEFAULT_N_MAX[name])
+        assert suite_size(name) <= ENUMERATION_BUDGET
+    assert sum(suite_size(name) for name in SUITE_NAMES) <= ENUMERATION_BUDGET
+    assert suite_size("theorem2", 14) > ENUMERATION_BUDGET
+
+
+def _counting(fn, counts, key):
+    def wrapper(*args):
+        for item in fn(*args):
+            counts[key] += 1
+            yield item
+
+    return wrapper
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_size_is_what_the_suite_builds(name, monkeypatch):
+    counts = Counter()
+    for module, attr in (
+        (core, "enumerate_partitions"),
+        (core, "enumerate_ordered"),
+        (motzkin, "enumerate_paths"),
+    ):
+        monkeypatch.setattr(module, attr, _counting(getattr(module, attr), counts, attr))
+    run_suite(name, n_max=5, threads=1)
+    # enumerate_ordered walks enumerate_partitions too; count it once
+    built = counts["enumerate_ordered"] or counts["enumerate_partitions"] + counts["enumerate_paths"]
+    assert built == suite_size(name, 5) > 0
 
 
 def test_mak_polynomial():
