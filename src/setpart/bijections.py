@@ -8,7 +8,8 @@ and closers trade places, passants stay passants and keep their own
 gamma, and the mirror image of opener a takes the gamma of the closer
 matched to a by level.  The image is then rebuilt from that profile,
 each closer or passant inserted into the gamma-th incomplete block from
-the left, an incoming closer sealing its block.
+the left, an incoming closer sealing its block, and ``classify`` must
+find in the image's word the roles that this pass wrote.
 
 The level matching is load-bearing, not a tie-break.  Opener a sits at
 trace level l_a, its matched closer at level l_a + 1, and the mirrored
@@ -29,12 +30,15 @@ that the two level sums agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     CLOSER,
     OPENER,
+    PASSANT,
     SINGLETON,
     ElementClassification,
+    Kind,
     PartitionError,
     ProfileError,
     SetPartition,
@@ -86,16 +90,16 @@ class PhiCertificate:
         }
 
 
+def _row(kinds: Sequence[Kind], gamma: Sequence[int], kind: Kind) -> GammaRow:
+    """The elements of ``kind``, ascending, with their gammas."""
+    values = tuple(i for i, k in enumerate(kinds, start=1) if k is kind)
+    return GammaRow(values, tuple(gamma[i - 1] for i in values))
+
+
 def phi_certificate(p: SetPartition) -> PhiCertificate:
     """The involution applied to ``p``, with its gamma matrices."""
     p = _require_canonical(p, "phi is defined on canonically ordered partitions only")
-    n = p.n
-    cls = classify(p)
     profile = trace_profile(p)
-    f_values = cls.closer_nonsingletons
-    p_values = cls.passants
-    f_row = GammaRow(f_values, tuple(profile.gamma[i - 1] for i in f_values))
-    p_row = GammaRow(p_values, tuple(profile.gamma[i - 1] for i in p_values))
 
     # Reading the source profile from n down to 1 writes the image profile
     # left to right.  The mirror of a source opener takes the gamma of the
@@ -118,24 +122,23 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
     except ProfileError as exc:
         raise ConsistencyError(f"transferred labels rejected: {exc}") from exc
 
-    mirror = lambda xs: tuple(n + 1 - x for x in reversed(xs))
-    new_closers = mirror(cls.opener_nonsingletons)
-    new_passants = mirror(p_values)
-    image_cls = classify(image)
-    if (
-        image_cls.singletons != mirror(cls.singletons)
-        or image_cls.opener_nonsingletons != mirror(f_values)
-        or image_cls.closer_nonsingletons != new_closers
-        or image_cls.passants != new_passants
-    ):
+    rows = [_row(kinds, gamma, kind) for kind in (SINGLETON, OPENER, CLOSER, PASSANT)]
+    *_, image_f, image_p = rows
+    found = classify(image)  # an independent pass over the image's word
+    if [row.values for row in rows] != [
+        found.singletons,
+        found.opener_nonsingletons,
+        found.closer_nonsingletons,
+        found.passants,
+    ]:
         raise ConsistencyError("image classification does not mirror the source")
     return PhiCertificate(
         source=p,
         image=image,
-        source_f=f_row,
-        source_p=p_row,
-        image_f=GammaRow(new_closers, tuple(gamma[j - 1] for j in new_closers)),
-        image_p=GammaRow(new_passants, tuple(gamma[j - 1] for j in new_passants)),
+        source_f=_row(profile.kinds, profile.gamma, CLOSER),
+        source_p=_row(profile.kinds, profile.gamma, PASSANT),
+        image_f=image_f,
+        image_p=image_p,
     )
 
 

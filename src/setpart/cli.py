@@ -39,6 +39,25 @@ def _within_budget(size: int) -> None:
         raise _Refused(f"would enumerate {size} partitions, at most {verify.ENUMERATION_BUDGET}")
 
 
+# Largest n that enumerate, genfun and qstirling accept: the mak DP's
+# state grows about as n^4 integers, q_stirling(64, k) for all k takes
+# seconds, and counting a family (for the budget) slows as n grows: all
+# partitions of [1000] take minutes to count.  Enumerations are held to
+# verify.ENUMERATION_BUDGET as well.
+N_MAX = 64
+# Largest verify --n-max: every suite is over the budget from 13 on, and
+# counting a suite at 200 takes minutes.
+VERIFY_N_MAX = 20
+
+
+def _check_n(n: int) -> None:
+    """Refuse a ground-set size outside 0..N_MAX."""
+    if n < 0:
+        raise _Refused("n must be non-negative")
+    if n > N_MAX:
+        raise _Refused(f"n must be at most {N_MAX}")
+
+
 # ----------------------------------------------------------------------
 # subcommand implementations
 # ----------------------------------------------------------------------
@@ -46,12 +65,11 @@ def _within_budget(size: int) -> None:
 
 def cmd_enumerate(args) -> int:
     n, k = args.n, args.k
-    if n < 0:
-        print("error: n must be non-negative", file=sys.stderr)
-        return 2
+    _check_n(n)
     if k is not None and not 0 <= k <= n:
         print(f"error: k must satisfy 0 <= k <= n, got n={n} k={k}", file=sys.stderr)
         return 2
+    _within_budget(verify.family_size(n, k, args.ordered))
     family = core.enumerate_ordered(n, k) if args.ordered else core.enumerate_partitions(n, k)
     if args.json:
         texts = [p.text() for p in family]
@@ -104,12 +122,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-# Largest n that genfun and qstirling accept: the mak DP's state grows
-# about as n^4 integers, and q_stirling(64, k) for all k takes seconds.
-# Statistics without a DP are held to verify.ENUMERATION_BUDGET as well.
-GENFUN_N_MAX = 64
-
-
 def _first_difference(got: QPolynomial, want: QPolynomial) -> tuple[int, int, int]:
     for e in range(max(got.degree, want.degree) + 1):
         if got.coefficient(e) != want.coefficient(e):
@@ -145,12 +157,7 @@ def _per_k(args, all_ks: range, head: dict, rows) -> int:
 
 def cmd_genfun(args) -> int:
     n = args.n
-    if n < 0:
-        print("error: n must be non-negative", file=sys.stderr)
-        return 2
-    if n > GENFUN_N_MAX:
-        print(f"error: n must be at most {GENFUN_N_MAX}", file=sys.stderr)
-        return 2
+    _check_n(n)
 
     def genfun_for(k: int, hists: dict[int, list[int]] | None) -> QPolynomial:
         if hists is not None:
@@ -198,12 +205,7 @@ def cmd_genfun(args) -> int:
 
 def cmd_qstirling(args) -> int:
     n = args.n
-    if n < 0:
-        print("error: n must be non-negative", file=sys.stderr)
-        return 2
-    if n > GENFUN_N_MAX:
-        print(f"error: n must be at most {GENFUN_N_MAX}", file=sys.stderr)
-        return 2
+    _check_n(n)
     make = qseries.shifted_stirling if args.shifted else qseries.q_stirling
 
     def rows(ks: list[int]):
@@ -268,6 +270,9 @@ def cmd_motzkin(args) -> int:
 def cmd_verify(args) -> int:
     if args.n_max is not None and args.n_max < 0:
         print("error: --n-max must be non-negative", file=sys.stderr)
+        return 2
+    if args.n_max is not None and args.n_max > VERIFY_N_MAX:
+        print(f"error: --n-max must be at most {VERIFY_N_MAX}", file=sys.stderr)
         return 2
     if args.max_witnesses < 0:
         print("error: --max-witnesses must be non-negative", file=sys.stderr)

@@ -20,9 +20,12 @@ ignored.  The empty string denotes the empty partition.
 
 Element roles: the minimum of a block is an opener, the maximum a closer,
 a sole element is a singleton (both opener and closer), anything else is
-a passant.  The i-th trace T_i of a canonical partition is the family of
-restrictions B ∩ [i]; a non-empty restriction is complete if it already
-equals its block and incomplete otherwise.  For each element i,
+a passant.  ``classify`` reads them off the word, canonical or ordered,
+in one pass without the block view or any sorting: an element opens its
+block at the block's first occurrence and closes it at the last.  The
+i-th trace T_i of a canonical partition is the family of restrictions
+B ∩ [i]; a non-empty restriction is complete if it already equals its
+block and incomplete otherwise.  For each element i,
 
 - l_i = number of incomplete blocks in T_{i-1}  (l_1 = 0), and
 - gamma_i = 1 + number of incomplete blocks strictly left of i's block
@@ -38,16 +41,19 @@ block in it.  An opener or singleton starts a new rightmost block, a
 closer leaves the list.
 
 Partitions are immutable, so each object computes its classification
-and its trace profile once, on first request, and keeps them in its
-instance dict next to the cached ``blocks`` view (``_memo``); they live
-exactly as long as the object and take no part in equality or hashing.
+and its trace profile (and a canonical partition its block count ``k``)
+once, on first request, and keeps them in its instance dict next to the
+cached ``blocks`` view (``_memo``); they live exactly as long as the
+object and take no part in equality or hashing.
 
 Validation happens at the boundary only: the public constructors
 (``SetPartition(word)``, ``from_rgf``, ``from_blocks``, ``RgfWord``,
 ``OrderedSetPartition``) and the parsers check everything they are given.
 Words that this module builds valid by construction (enumeration,
 ``from_blocks`` after its block check, ``rebuild_from_profile``) go
-through the private ``SetPartition._trusted`` without a second check.
+through the private ``SetPartition._trusted`` without a second check,
+and so do the block permutations of ``enumerate_ordered``
+(``OrderedSetPartition._trusted``).
 """
 
 from __future__ import annotations
@@ -214,7 +220,7 @@ class SetPartition:
     def n(self) -> int:
         return len(self.word)
 
-    @property
+    @cached_property
     def k(self) -> int:
         return max(self.word, default=0)
 
@@ -245,6 +251,14 @@ class OrderedSetPartition:
     def __post_init__(self):
         cleaned = _validate_blocks(self.blocks)
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in cleaned))
+
+    @classmethod
+    def _trusted(cls, blocks: tuple[tuple[int, ...], ...]) -> "OrderedSetPartition":
+        """The ordered partition of ``blocks``, valid and sorted by the
+        caller's construction; no check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "blocks", blocks)
+        return p
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "OrderedSetPartition":
@@ -348,22 +362,15 @@ def parse_rgf(text: str) -> RgfWord:
 
 @dataclass(frozen=True)
 class ElementClassification:
-    """Openers, closers, passants and singletons of a partition."""
+    """Openers, closers, passants and singletons of a partition, each
+    ascending; the openers and closers include the singletons."""
 
     openers: tuple[int, ...]
     closers: tuple[int, ...]
     passants: tuple[int, ...]
     singletons: tuple[int, ...]
-
-    @property
-    def opener_nonsingletons(self) -> tuple[int, ...]:
-        s = set(self.singletons)
-        return tuple(x for x in self.openers if x not in s)
-
-    @property
-    def closer_nonsingletons(self) -> tuple[int, ...]:
-        s = set(self.singletons)
-        return tuple(x for x in self.closers if x not in s)
+    opener_nonsingletons: tuple[int, ...]
+    closer_nonsingletons: tuple[int, ...]
 
 
 def _memo(p: Partition, name: str, compute: Callable[[Partition], _T]) -> _T:
@@ -386,20 +393,24 @@ def classify(p: Partition) -> ElementClassification:
 
 
 def _classify(p: Partition) -> ElementClassification:
-    openers, closers, singles, passants = [], [], [], []
-    for block in p.blocks:
-        openers.append(block[0])
-        closers.append(block[-1])
-        if len(block) == 1:
-            singles.append(block[0])
+    word = p.word
+    last = {letter: i for i, letter in enumerate(word, start=1)}
+    seen = set()  # blocks whose opener has been read
+    roles = [[] for _ in range(6)]  # in ElementClassification field order
+    openers, closers, passants, singles, open_only, close_only = roles
+    for i, letter in enumerate(word, start=1):
+        closes = last[letter] == i
+        if letter not in seen:
+            seen.add(letter)
+            openers.append(i)
+            (singles if closes else open_only).append(i)
+        elif closes:
+            close_only.append(i)
         else:
-            passants.extend(block[1:-1])
-    return ElementClassification(
-        openers=tuple(sorted(openers)),
-        closers=tuple(sorted(closers)),
-        passants=tuple(sorted(passants)),
-        singletons=tuple(sorted(singles)),
-    )
+            passants.append(i)
+        if closes:
+            closers.append(i)
+    return ElementClassification(*map(tuple, roles))
 
 
 @dataclass(frozen=True)
@@ -534,4 +545,4 @@ def enumerate_ordered(n: int, k: int | None = None) -> Iterator[OrderedSetPartit
     each expanded through its block permutations in lexicographic order."""
     for p in enumerate_partitions(n, k):
         for perm in itertools.permutations(p.blocks):
-            yield OrderedSetPartition(perm)
+            yield OrderedSetPartition._trusted(perm)

@@ -23,19 +23,20 @@ On canonically ordered blocks lob vanishes, mak = lmakp and makp = lmak
 pointwise, and the generating function of each over the partitions of
 [n] into k blocks is the q-Stirling number S_q(n, k).
 
-``coord_sums_all`` finds all eight sums in two passes over w that keep
-sets of blocks as int bitmasks (bit b for block b).  The left-to-right
-pass holds the blocks whose opener, resp. closer, lies left of i; the
-"smaller" sums of i are popcounts of that mask above bit w_i (right) and
-below it (left).  The right-to-left pass does the same for the blocks
-whose opener or closer lies right of i, giving the "bigger" sums.  Each
-sum is counted on its own, never derived from the others (in particular
-not through rob + ros = k - w), so the identities above remain checks of
-the counts.  The eight sums are computed once per partition object and
-kept on it (``core._memo``), so mak, makp, lmak, lmakp and every
-``coord_sums_all`` call on that object share one count, which lives as
-long as the object.  ``coord_sum`` is an independent element-by-element
-count over the (equally memoized) classification.
+``coord_sums_all`` finds all eight sums from one int bitmask per block
+(bit i - 1 for element i), filled in one pass over w.  Grouped by the
+reference element j, each sum adds one popcount per block: walking the
+blocks in index order, with left (right) the union of the earlier
+(later) blocks' masks and o and f the block's opener and closer (its
+lowest and highest set bit), ros, rob, rcs and rcb count the elements of
+left above o, below o, above f and below f, and los, lob, lcs and lcb
+those of right; O(n + k) big-int steps in all.  Each sum is counted on
+its own, never derived from the others (in particular not through
+rob + ros = k - w), so the identities above remain checks of the
+counts.  The eight sums are counted once per partition object and kept
+on it (``core._memo``) for mak, makp, lmak, lmakp and every
+``coord_sums_all`` call.  ``coord_sum`` is an independent
+element-by-element count over the (equally memoized) classification.
 
 Element-level inversion counts, for b in block j:
 
@@ -122,34 +123,28 @@ def coord_sum(p: Partition, kind: CoordKind) -> int:
 
 
 def _coord_pass(p: Partition) -> tuple[int, int, int, int, int, int, int, int]:
-    """The eight coordinate sums in ``CoordKind`` order, by two popcount
-    passes over the word."""
-    w = p.word
-    last = {b: i for i, b in enumerate(w)}
-    opener: list[bool] = []  # opener[i]: element i opens its block
-    opened = closed = 0  # blocks whose opener / closer lies left of i
-    ros = rcs = los = lcs = 0
-    for i, b in enumerate(w):
-        bit = 1 << b
-        ros += (opened >> b + 1).bit_count()
-        los += (opened & bit - 1).bit_count()
-        rcs += (closed >> b + 1).bit_count()
-        lcs += (closed & bit - 1).bit_count()
-        opener.append(not opened & bit)
-        opened |= bit
-        if last[b] == i:
-            closed |= bit
-    opened = closed = 0  # blocks whose opener / closer lies right of i
-    rob = rcb = lob = lcb = 0
-    for b, is_opener in zip(reversed(w), reversed(opener)):
-        bit = 1 << b
-        rob += (opened >> b + 1).bit_count()
-        lob += (opened & bit - 1).bit_count()
-        rcb += (closed >> b + 1).bit_count()
-        lcb += (closed & bit - 1).bit_count()
-        if is_opener:
-            opened |= bit
-        closed |= bit
+    """The eight coordinate sums in ``CoordKind`` order, from one element
+    bitmask per block."""
+    masks = [0] * p.k
+    for i, b in enumerate(p.word):
+        masks[b - 1] |= 1 << i  # element i + 1 sits at bit i
+    left, right = 0, (1 << p.n) - 1  # elements of earlier / later blocks
+    ros = rob = rcs = rcb = los = lob = lcs = lcb = 0
+    for m in masks:
+        right ^= m
+        o = (m & -m).bit_length()  # the opener
+        f = m.bit_length()  # the closer
+        below_o = (1 << o) - 1
+        below_f = (1 << f) - 1
+        ros += (left >> o).bit_count()
+        rob += (left & below_o).bit_count()
+        rcs += (left >> f).bit_count()
+        rcb += (left & below_f).bit_count()
+        los += (right >> o).bit_count()
+        lob += (right & below_o).bit_count()
+        lcs += (right >> f).bit_count()
+        lcb += (right & below_f).bit_count()
+        left |= m
     return ros, rob, rcs, rcb, los, lob, lcs, lcb
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from setpart import bijections
 from setpart.bijections import (
     ConsistencyError,
     GammaRow,
@@ -82,6 +83,18 @@ def test_image_classes_mirror_the_source():
             assert icls.passants == mirror(cls.passants)
             assert icls.opener_nonsingletons == mirror(cls.closer_nonsingletons)
             assert icls.closer_nonsingletons == mirror(cls.opener_nonsingletons)
+
+
+def test_phi_checks_the_image_against_the_written_roles(monkeypatch):
+    # a rebuild that lands on another valid partition must not pass
+    p = parse_partition("1,4,8/2/3,7,9/5,6")
+    for wrong in ("1,2,3,4,5,6,7,8,9", "1/2/3/4/5/6/7/8/9", p.text()):
+        monkeypatch.setattr(
+            bijections, "rebuild_from_profile", lambda kinds, gamma: parse_partition(wrong)
+        )
+        with pytest.raises(ConsistencyError) as info:
+            phi_certificate(p)
+        assert str(info.value) == "image classification does not mirror the source"
 
 
 def test_phi_trivial_inputs():

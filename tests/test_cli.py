@@ -73,6 +73,36 @@ def test_enumerate_bad_ranges(capsys):
         assert err.startswith("error:")
 
 
+def test_enumerate_refuses_families_above_the_budget(capsys, monkeypatch):
+    monkeypatch.setattr(core, "enumerate_partitions", _no_enumeration)
+    monkeypatch.setattr(core, "enumerate_ordered", _no_enumeration)
+    for argv, size in (
+        (["enumerate", "-n", "14"], 190899322),
+        (["enumerate", "-n", "9", "--ordered"], 7087261),
+        (["enumerate", "-n", "14", "--json"], 190899322),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: would enumerate {size} partitions, at most 1000000\n"
+
+
+def test_enumerate_budget_counts_only_the_requested_k(capsys):
+    code, out, err = run(["enumerate", "-n", "14", "-k", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 2**13 - 1
+
+
+def test_sizes_above_the_caps_are_refused_before_counting(capsys):
+    for argv, message in (
+        (["enumerate", "-n", "65"], "error: n must be at most 64\n"),
+        (["enumerate", "-n", "1000000", "-k", "1"], "error: n must be at most 64\n"),
+        (["verify", "all", "--n-max", "21"], "error: --n-max must be at most 20\n"),
+        (["verify", "theorem1", "--n-max", "1000000"], "error: --n-max must be at most 20\n"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", message), argv
+
+
 # ----------------------------------------------------------------------
 # stats
 # ----------------------------------------------------------------------

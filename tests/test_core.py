@@ -250,6 +250,8 @@ def test_equality_and_hash_ignore_the_cached_views():
         coord_sums_all(warm)
         if isinstance(warm, SetPartition):
             trace_profile(warm)
+            assert warm.k == max(warm.word, default=0)
+            assert "k" in warm.__dict__ and "k" not in cold.__dict__
         assert warm.__dict__.keys() != cold.__dict__.keys()
         assert warm == cold and cold == warm
         assert hash(warm) == hash(cold)
@@ -309,6 +311,34 @@ def test_trusted_sites_build_valid_words():
             assert type(q.word) is tuple
             _check_rgf(q.word)
             assert q == p and hash(q) == hash(p)
+
+
+def test_trusted_ordered_enumeration_builds_valid_blocks():
+    # enumerate_ordered skips _validate_blocks: every block tuple it
+    # yields must pass it unchanged
+    for n in range(7):
+        for op in enumerate_ordered(n):
+            assert type(op.blocks) is tuple
+            assert all(type(block) is tuple for block in op.blocks)
+            assert core._validate_blocks(op.blocks) == [list(block) for block in op.blocks]
+            assert op == OrderedSetPartition(op.blocks)
+
+
+def test_classify_matches_minima_and_maxima_of_the_blocks():
+    ordered = [p for n in range(7) for p in enumerate_ordered(n)]
+    seeded = [SetPartition(word) for word in SEEDED_WORDS]
+    assert len(seeded) == 60
+    for p in ordered + seeded:
+        cls = classify(p)
+        openers = oracles.openers_of(p.blocks)
+        closers = oracles.closers_of(p.blocks)
+        singles = openers & closers
+        assert cls.openers == tuple(sorted(openers))
+        assert cls.closers == tuple(sorted(closers))
+        assert cls.singletons == tuple(sorted(singles))
+        assert cls.passants == tuple(sorted(set(range(1, p.n + 1)) - openers - closers))
+        assert cls.opener_nonsingletons == tuple(sorted(openers - singles))
+        assert cls.closer_nonsingletons == tuple(sorted(closers - singles))
 
 
 def test_enumeration_counts_match_bell_and_stirling():

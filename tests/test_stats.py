@@ -223,6 +223,18 @@ def test_coordinates_match_literal_definitions(word):
     assert lmakp(p) == oracles.lmakp(p.blocks)
 
 
+def test_kernel_matches_literal_definitions_exhaustively():
+    # the ordered n <= 6 and the n = 150 cases are the two tests around
+    # this one; coord_sums_all runs the kernel on each fresh object
+    for n in range(9):
+        for p in enumerate_partitions(n):
+            sums = stats._coord_pass(p)
+            for kind, got in zip(CoordKind, sums):
+                assert got == oracles.coord_sum(
+                    p.blocks, kind.side, kind.reference, kind.comparison
+                ), (p.text(), kind)
+
+
 def test_coordinates_match_literal_definitions_on_ordered_partitions():
     for n in range(7):
         for op in enumerate_ordered(n):
