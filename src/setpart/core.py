@@ -63,10 +63,30 @@ import itertools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 _T = TypeVar("_T")
+
+
+class _cached:
+    """A view computed on first access and kept in the instance dict,
+    which later lookups find before this non-data descriptor.  It is
+    ``functools.cached_property`` without the lock it takes on every
+    first access before Python 3.12; the objects here are immutable, so
+    a race at worst computes the same value twice."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner: type | None = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 class PartitionError(ValueError):
@@ -212,7 +232,7 @@ class SetPartition:
         cleaned.sort(key=lambda b: b[0])
         return cls._trusted(_word_from_blocks(cleaned))
 
-    @cached_property
+    @_cached
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return _blocks_from_word(self.word)
 
@@ -220,7 +240,7 @@ class SetPartition:
     def n(self) -> int:
         return len(self.word)
 
-    @cached_property
+    @_cached
     def k(self) -> int:
         return max(self.word, default=0)
 
@@ -264,7 +284,7 @@ class OrderedSetPartition:
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "OrderedSetPartition":
         return cls(tuple(tuple(b) for b in blocks))
 
-    @cached_property
+    @_cached
     def word(self) -> tuple[int, ...]:
         return _word_from_blocks(self.blocks)
 
@@ -375,8 +395,8 @@ class ElementClassification:
 
 def _memo(p: Partition, name: str, compute: Callable[[Partition], _T]) -> _T:
     """``compute(p)``, computed once per object and kept in its instance
-    dict under ``name``, the storage ``functools.cached_property`` uses
-    for ``blocks``.  Only for immutable results derived from ``p`` alone."""
+    dict under ``name``, the storage ``_cached`` uses for ``blocks``.
+    Only for immutable results derived from ``p`` alone."""
     value = p.__dict__.get(name)
     if value is None:
         value = p.__dict__[name] = compute(p)

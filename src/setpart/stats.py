@@ -148,9 +148,14 @@ def _coord_pass(p: Partition) -> tuple[int, int, int, int, int, int, int, int]:
     return ros, rob, rcs, rcb, los, lob, lcs, lcb
 
 
+# The kinds in definition order: zipping with a tuple is cheaper than
+# iterating the enum class on every call.
+_COORD_KINDS = tuple(CoordKind)
+
+
 def coord_sums_all(p: Partition) -> dict[CoordKind, int]:
     """All eight coordinate sums, as a fresh dict on every call."""
-    return dict(zip(CoordKind, _memo(p, "_coord_sums", _coord_pass)))
+    return dict(zip(_COORD_KINDS, _memo(p, "_coord_sums", _coord_pass)))
 
 
 def four_stats(p: Partition) -> tuple[int, int, int, int]:

@@ -2,6 +2,10 @@
 Exhaustive verification suites over all partitions at desk scale, plus a
 polynomial-time transfer DP for the distribution of mak.
 
+The DP (``mak_histograms``) packs each state's coefficient list into one
+int, a fixed-width limb per coefficient, so that its steps are big-int
+shifts and adds; the unpacked counts must sum to Bell(n), or it raises.
+
 ``SUITES`` maps each suite name to its default range and to the list of
 its tasks, independent (cell function, args) pairs over the (n, k)
 families, so the work can be spread over processes with ``threads``;
@@ -43,8 +47,6 @@ import time
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import add, sub
 
 from . import bijections, core, motzkin, stats
 from .qseries import QPolynomial, generating_function, q_factorial, q_int, q_stirling
@@ -148,25 +150,9 @@ ENUMERATION_BUDGET = 10**6
 # ----------------------------------------------------------------------
 
 
-def _box(row: list[int], h: int) -> list[int]:
-    # Coefficients of row * (1 + q + ... + q^(h-1)) as a running window
-    # sum: each entry adds the coefficient entering the window and drops
-    # the one leaving it.
-    return list(accumulate(map(sub, row + [0] * (h - 1), [0] * h + row)))
-
-
-def _add_shifted(
-    states: dict[tuple[int, int], list[int]], key: tuple[int, int], row: list[int], shift: int
-) -> None:
-    # states[key] += q^shift * row
-    acc = states.get(key)
-    if acc is None:
-        states[key] = [0] * shift + row
-        return
-    end = shift + len(row)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[shift:end] = map(add, acc[shift:end], row)
+def _limb_bytes(total: int) -> int:
+    """Bytes per packed coefficient: enough to hold any count up to ``total``."""
+    return (total.bit_length() + 7) // 8
 
 
 def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
@@ -185,27 +171,59 @@ def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
     0..h-1), rem for a singleton and nothing for an opener.  The work is
     polynomial in n instead of Bell(n).  ``threads`` is accepted for
     compatibility and ignored.
+
+    Each coefficient list is packed into one int, coefficient m in the
+    W-bit limb m (Kronecker substitution q = x = 2^W), so the steps are
+    big-int shifts and adds.  Every prefix the DP keeps can still be
+    completed and distinct prefixes complete to distinct partitions, so
+    no coefficient ever exceeds Bell(n), and W = the bits of Bell(n)
+    rounded up to whole bytes never carries.  A carry would lower the sum
+    of the unpacked counts, which is checked against Bell(n).
     """
     if n < 0:
         raise core.PartitionError("n must be non-negative")
-    states: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
+    bell = bell_number(n)
+    size = _limb_bytes(bell)
+    width = 8 * size
+    states: dict[tuple[int, int], int] = {(0, 0): 1}
     for i in range(1, n + 1):
         rem = n - i
-        nxt: dict[tuple[int, int], list[int]] = {}
+        nxt: defaultdict[tuple[int, int], int] = defaultdict(int)
         for (h, opened), row in states.items():
             if h:
-                box = _box(row, h)
-                _add_shifted(nxt, (h - 1, opened), box, rem)  # closer
+                # box = row * (1 + x + ... + x^(span-1)), grown by doubling
+                # to span = h along the bits of h below its leading one
+                box, span = row, 1
+                for bit in bin(h)[3:]:
+                    box += box << span * width
+                    span *= 2
+                    if bit == "1":
+                        box = (box << width) + row
+                        span += 1
+                nxt[(h - 1, opened)] += box << rem * width  # closer
                 if h <= rem:
-                    _add_shifted(nxt, (h, opened), box, 0)  # passant
+                    nxt[(h, opened)] += box  # passant
             if h <= rem:
-                _add_shifted(nxt, (h, opened + 1), row, rem)  # singleton
+                nxt[(h, opened + 1)] += row << rem * width  # singleton
             if h < rem:
-                _add_shifted(nxt, (h + 1, opened + 1), row, 0)  # opener
+                nxt[(h + 1, opened + 1)] += row  # opener
         states = nxt
-    # Every surviving state ends at height 0; rows only ever grow by
-    # non-negative terms ending in a non-zero one, so none needs trimming.
-    return {k: states[(0, k)] for k in sorted(k for _, k in states)}
+    # Every surviving state ends at height 0; a row's top limb is its
+    # highest non-zero coefficient, so none needs trimming.
+    hists = {}
+    for k in sorted(k for _, k in states):
+        packed = states[(0, k)]
+        data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+        hists[k] = [
+            int.from_bytes(data[j : j + size], "little") for j in range(0, len(data), size)
+        ]
+    total = sum(map(sum, hists.values()))
+    if total != bell:
+        raise bijections.ConsistencyError(
+            f"mak counts for n={n} sum to {total}, not Bell({n}) = {bell}: "
+            f"a {width}-bit coefficient overflowed"
+        )
+    return hists
 
 
 def mak_polynomial(n: int, k: int, threads: int = 1) -> QPolynomial:

@@ -358,6 +358,14 @@ def test_phi_i_bad_index(capsys):
     assert err.startswith("error:")
 
 
+def test_phi_i_needs_two_blocks(capsys):
+    for argv, k in ((["phi-i", "", "-i", "0"], 0), (["phi-i", "1,2", "-i", "1"], 1)):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: phi_i needs at least two blocks, got {k}\n"
+
+
 # ----------------------------------------------------------------------
 # motzkin
 # ----------------------------------------------------------------------
@@ -517,6 +525,36 @@ def test_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built, real = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    first = run(["genfun", "-n", "4", "--compare", "qstirling"], capsys)
+    second = run(["qstirling", "-n", "3"], capsys)
+    assert len(built) == 1
+    assert first[0] == second[0] == 0
+    assert first[1].count("EQUAL") == 4
+
+
+def test_dispatch_reads_the_subcommand_at_call_time(monkeypatch, capsys):
+    code, out, _ = run(["genfun", "-n", "3"], capsys)
+    assert code == 0 and out
+    seen = []
+
+    def fake_genfun(args):
+        seen.append(args.n)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_genfun", fake_genfun)
+    code, out, _ = run(["genfun", "-n", "5"], capsys)
+    assert (code, out, seen) == (0, "", [5])
 
 
 # ----------------------------------------------------------------------

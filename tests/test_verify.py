@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from setpart import bijections, core, motzkin, stats
+from setpart import bijections, core, motzkin, stats, verify
 from setpart.qseries import QPolynomial, generating_function, q_stirling
 from setpart.core import PartitionError, enumerate_partitions
 from setpart.verify import (
@@ -185,6 +185,21 @@ def test_mak_dp_matches_q_stirling_at_larger_n():
             assert QPolynomial(hists.get(k, [])) == q_stirling(n, k), (n, k)
         if n == 30:
             assert sum(sum(row) for row in hists.values()) == bell_number(30)
+
+
+def test_packed_mak_dp_matches_q_stirling_and_bell_at_n40():
+    hists = mak_histograms(40)
+    assert sorted(hists) == list(range(1, 41))
+    for k in range(1, 41):
+        assert QPolynomial(hists[k]) == q_stirling(40, k), k
+    assert sum(sum(row) for row in hists.values()) == 157450588391204931289324344702531067  # B(40)
+
+
+def test_packed_mak_dp_refuses_a_limb_that_overflows(monkeypatch):
+    real = verify._limb_bytes
+    monkeypatch.setattr(verify, "_limb_bytes", lambda total: real(total) - 1)
+    with pytest.raises(bijections.ConsistencyError, match="overflowed"):
+        mak_histograms(12)
 
 
 def test_mak_dp_return_contract():
