@@ -50,12 +50,12 @@ N_MAX = 64
 VERIFY_N_MAX = 20
 
 
-def _check_n(n: int) -> None:
-    """Refuse a ground-set size outside 0..N_MAX."""
-    if n < 0:
-        raise _Refused("n must be non-negative")
-    if n > N_MAX:
-        raise _Refused(f"n must be at most {N_MAX}")
+def _check_range(name: str, value: int, top: int | None = None) -> None:
+    """Refuse a value below 0 or above ``top``."""
+    if value < 0:
+        raise _Refused(f"{name} must be non-negative")
+    if top is not None and value > top:
+        raise _Refused(f"{name} must be at most {top}")
 
 
 # ----------------------------------------------------------------------
@@ -65,10 +65,9 @@ def _check_n(n: int) -> None:
 
 def cmd_enumerate(args) -> int:
     n, k = args.n, args.k
-    _check_n(n)
+    _check_range("n", n, N_MAX)
     if k is not None and not 0 <= k <= n:
-        print(f"error: k must satisfy 0 <= k <= n, got n={n} k={k}", file=sys.stderr)
-        return 2
+        raise _Refused(f"k must satisfy 0 <= k <= n, got n={n} k={k}")
     _within_budget(verify.family_size(n, k, args.ordered))
     family = core.enumerate_ordered(n, k) if args.ordered else core.enumerate_partitions(n, k)
     if args.json:
@@ -111,8 +110,7 @@ def cmd_stats(args) -> int:
         return 0
     names = [s.strip() for s in args.stats.split(",") if s.strip()]
     if not names:
-        print("error: no statistics requested", file=sys.stderr)
-        return 2
+        raise _Refused("no statistics requested")
     values = {name: stats.resolve_statistic(name, l=args.l, b=args.b)(p) for name in names}
     if args.json:
         _emit({"partition": p.text(), "values": values})
@@ -135,15 +133,14 @@ def _per_k(args, all_ks: range, head: dict, rows) -> int:
     "results"), or a single integer (bare lines, JSON row merged into
     ``head``).  ``rows(ks)`` yields (JSON entry, text lines, ok) per k;
     the entry is read only with ``--json``, so text mode may leave it empty.
-    Exit 2 on a bad ``-k``, 1 if any row is not ok, 0 otherwise."""
+    Refuses a bad ``-k``; 1 if any row is not ok, 0 otherwise."""
     if args.k == "all":
         ks, prefix = list(all_ks), "k={}: "
     else:
         try:
             ks, prefix = [int(args.k)], ""
         except ValueError:
-            print(f"error: -k takes an integer or 'all', got {args.k!r}", file=sys.stderr)
-            return 2
+            raise _Refused(f"-k takes an integer or 'all', got {args.k!r}") from None
     results, lines, ok = [], [], True
     for k, (entry, texts, row_ok) in zip(ks, rows(ks)):
         results.append(entry)
@@ -158,7 +155,7 @@ def _per_k(args, all_ks: range, head: dict, rows) -> int:
 
 def cmd_genfun(args) -> int:
     n = args.n
-    _check_n(n)
+    _check_range("n", n, N_MAX)
 
     def genfun_for(k: int, hists: dict[int, list[int]] | None) -> QPolynomial:
         if hists is not None:
@@ -206,7 +203,7 @@ def cmd_genfun(args) -> int:
 
 def cmd_qstirling(args) -> int:
     n = args.n
-    _check_n(n)
+    _check_range("n", n, N_MAX)
     make = qseries.shifted_stirling if args.shifted else qseries.q_stirling
 
     def rows(ks: list[int]):
@@ -242,12 +239,10 @@ def cmd_phi_i(args) -> int:
 
 def cmd_motzkin(args) -> int:
     if args.decode is not None and args.partition is not None:
-        print("error: give a partition or --decode, not both", file=sys.stderr)
-        return 2
+        raise _Refused("give a partition or --decode, not both")
     if args.decode is not None:
         if args.ascii:
-            print("error: --ascii applies when encoding a partition", file=sys.stderr)
-            return 2
+            raise _Refused("--ascii applies when encoding a partition")
         path = motzkin.LabeledMotzkinPath.parse(args.decode)
         p = motzkin.decode(path)
         if args.json:
@@ -256,8 +251,7 @@ def cmd_motzkin(args) -> int:
             print(p.text())
         return 0
     if args.partition is None:
-        print("error: give a partition to encode or --decode with a path", file=sys.stderr)
-        return 2
+        raise _Refused("give a partition to encode or --decode with a path")
     p = core.parse_partition(args.partition)
     path = motzkin.encode(p)
     if args.json:
@@ -270,15 +264,9 @@ def cmd_motzkin(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max is not None and args.n_max < 0:
-        print("error: --n-max must be non-negative", file=sys.stderr)
-        return 2
-    if args.n_max is not None and args.n_max > VERIFY_N_MAX:
-        print(f"error: --n-max must be at most {VERIFY_N_MAX}", file=sys.stderr)
-        return 2
-    if args.max_witnesses < 0:
-        print("error: --max-witnesses must be non-negative", file=sys.stderr)
-        return 2
+    if args.n_max is not None:
+        _check_range("--n-max", args.n_max, VERIFY_N_MAX)
+    _check_range("--max-witnesses", args.max_witnesses)
     names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
     _within_budget(sum(verify.suite_size(name, args.n_max) for name in names))
     reports = [
@@ -427,13 +415,12 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     # Look the subcommand up when it runs, so that a rebound cmd_* is the
     # one that runs, whenever the parser was built.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if args.threads < 1:
+            raise _Refused("--threads must be at least 1")
         return command(args)
     except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,13 +41,15 @@ class QPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        dense = list(coeffs)
-        while dense and dense[-1] == 0:
-            dense.pop()
+        dense = tuple(coeffs)  # tuple() and a full slice of a tuple do not copy it
+        end = len(dense)
+        while end and dense[end - 1] == 0:
+            end -= 1
+        dense = dense[:end]
         for c in dense:
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an int")
-        self._coeffs: tuple[int, ...] = tuple(dense)
+        self._coeffs: tuple[int, ...] = dense
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -165,21 +167,13 @@ class QPolynomial:
     def text(self) -> str:
         if not self._coeffs:
             return "0"
-        terms = []
-        for e, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                terms.append(str(c))
-                continue
-            qpart = "q" if e == 1 else f"q^{e}"
-            if c == 1:
-                terms.append(qpart)
-            elif c == -1:
-                terms.append(f"-{qpart}")
-            else:
-                terms.append(f"{c}*{qpart}")
-        return " + ".join(terms)
+        return " + ".join(
+            [
+                f"{c}*q^{e}" if e > 1 and c != 1 and c != -1 else _term(c, e)
+                for e, c in enumerate(self._coeffs)
+                if c
+            ]
+        )
 
     _TERM = re.compile(
         r"^\s*(?:(?P<const>-?\d+)|(?:(?P<coef>-?\d+)\s*\*\s*)?q(?:\^(?P<exp>\d+))?)\s*$"
@@ -218,6 +212,14 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return f"QPolynomial({self.text()!r})"
+
+
+def _term(c: int, e: int) -> str:
+    """One non-zero term of the text format, for any coefficient and exponent."""
+    if e == 0:
+        return str(c)
+    qpart = "q" if e == 1 else f"q^{e}"
+    return qpart if c == 1 else f"-{qpart}" if c == -1 else f"{c}*{qpart}"
 
 
 def q_int(k: int) -> QPolynomial:

@@ -13,7 +13,10 @@ cell results are merged in task order and by commutative sums, which
 keeps every byte of the report independent of the thread count.  Wall
 time is carried separately for the same reason.  Per-partition
 identities are checks: generators that yield (expected, actual) for each
-identity broken on one partition, run over a family by ``_each``.
+identity broken on one partition, run over a family by ``_each``.  The
+distribution cells (theorem3, eq13, euler-mahonian) walk their family
+the same way, tallying named values into histograms that they compare
+with the target polynomials afterwards.
 
 Suite names are fixed CLI vocabulary:
 
@@ -22,8 +25,8 @@ Suite names are fixed CLI vocabulary:
 - theorem2        mak = lmakp and makp = lmak pointwise
 - theorem3        generating functions of mak, makp, lmak, lmakp and
                   every mak_l over the k-block partitions all equal
-                  S_q(n, k), and the two-term recurrence splits the mak
-                  distribution
+                  S_q(n, k), and the enumerated mak distribution obeys
+                  the two-term recurrence over the DP's at n - 1
 - lemma1          the two trace-label identities for mak and makp, the
                   level-sum identity, and the opener-closer matching
 - eq4             the per-element block-count identity and its sum
@@ -45,11 +48,11 @@ import math
 import os
 import time
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import bijections, core, motzkin, stats
-from .qseries import QPolynomial, generating_function, q_factorial, q_int, q_stirling
+from .qseries import QPolynomial, q_factorial, q_int, q_stirling
 from .stats import CoordKind
 
 
@@ -245,12 +248,15 @@ Check = Callable[[core.SetPartition], Iterator[tuple[str, str]]]
 CellResult = tuple[int, list[tuple[str, str, str]], dict[str, int]]
 
 
-def _each(check: Check, label: str, n: int, k: int | None = None) -> CellResult:
-    """Run ``check`` on every partition of [n] (into k blocks if given);
-    each failure is witnessed by the partition's text."""
+def _each(
+    check: Check, label: str, n: int, k: int | None = None, ordered: bool = False
+) -> CellResult:
+    """Run ``check`` on every partition of [n] (into k blocks if given;
+    ordered ones if ``ordered``); each failure is witnessed by the
+    partition's text."""
     failures = []
     cases = 0
-    for p in core.enumerate_partitions(n, k):
+    for p in core.enumerate_ordered(n, k) if ordered else core.enumerate_partitions(n, k):
         cases += 1
         failures += [(p.text(), expected, actual) for expected, actual in check(p)]
     return cases, failures, {f"{label}n={n}" + ("" if k is None else f",k={k}"): cases}
@@ -377,37 +383,79 @@ def _motzkin_reflect(p: core.SetPartition) -> Iterator[tuple[str, str]]:
 # aggregate cells: a distribution or a count over a whole family
 # ----------------------------------------------------------------------
 
+Tally = dict[str, Counter[int]]
+_FOUR = ("mak", "makp", "lmak", "lmakp")  # the order of stats.four_stats
+
+
+def _tally(hist: Tally, names: tuple[str, ...], values: Iterable[int]) -> Iterator[tuple[str, str]]:
+    """Count each named value into ``hist``; a negative one is a failure."""
+    for name, v in zip(names, values):
+        if v < 0:
+            yield f"{name} >= 0", str(v)
+        else:
+            hist[name][v] += 1
+
+
+def _compare(at: str, hist: Tally, targets: dict[str, QPolynomial]) -> list[tuple[str, str, str]]:
+    """A failure for each tallied distribution that is not its target."""
+    failures = []
+    for name, want in targets.items():
+        got = QPolynomial.from_dict(hist[name])
+        if got != want:
+            failures.append((f"{at} stat={name}", want.text(), got.text()))
+    return failures
+
 
 def _theorem3_cell(n: int, k: int) -> CellResult:
-    failures = []
-    names = ["mak", "makp", "lmak", "lmakp"] + [f"mak_{l}" for l in range(1, k + 1)]
-    sums: dict[str, dict[int, int]] = {name: {} for name in names}
-    count = 0
-    for p in core.enumerate_partitions(n, k):
-        count += 1
-        mak_, makp_, lmak_, lmakp_ = stats.four_stats(p)
-        values = {"mak": mak_, "makp": makp_, "lmak": lmak_, "lmakp": lmakp_}
-        for l in range(1, k + 1):
-            closer = p.blocks[l - 1][-1]
-            values[f"mak_{l}"] = mak_ - stats.nrinv(closer, p) + k - l
-        for name, v in values.items():
-            if v < 0:
-                failures.append((p.text(), f"{name} >= 0", str(v)))
-                continue
-            d = sums[name]
-            d[v] = d.get(v, 0) + 1
-    target = q_stirling(n, k)
-    for name in names:
-        got = QPolynomial.from_dict(sums[name])
-        if got != target:
-            failures.append((f"n={n} k={k} stat={name}", target.text(), got.text()))
-    if n >= 1 and k >= 1:
-        genfun = lambda m, j: generating_function(core.enumerate_partitions(m, j), stats.mak)
-        left = QPolynomial.from_dict(sums["mak"])
-        right = genfun(n - 1, k - 1).shift(k - 1) + q_int(k) * genfun(n - 1, k)
+    ls = range(1, k + 1)
+    names = (*_FOUR, *(f"mak_{l}" for l in ls))
+    hist: Tally = {name: Counter() for name in names}
+
+    def check(p: core.SetPartition) -> Iterator[tuple[str, str]]:
+        return _tally(hist, names, [*stats.four_stats(p), *[stats.mak_l(p, l) for l in ls]])
+
+    cases, failures, detail = _each(check, "", n, k)
+    failures += _compare(f"n={n} k={k}", hist, dict.fromkeys(names, q_stirling(n, k)))
+    if n and k:
+        # the enumerated mak distribution at n against the DP's at n - 1
+        below = mak_histograms(n - 1)
+        fewer, same = (QPolynomial(below.get(j, [])) for j in (k - 1, k))
+        left, right = QPolynomial.from_dict(hist["mak"]), fewer.shift(k - 1) + q_int(k) * same
         if left != right:
             failures.append((f"n={n} k={k} recurrence", left.text(), right.text()))
-    return count * len(names), failures, {f"n={n},k={k}": count}
+    return cases * len(names), failures, detail
+
+
+def _eq13_cell(n: int, kk: int) -> CellResult:
+    # Eq. (13) over the kk-block partitions (k = kk - 1 in its convention):
+    # mak_l + l - 1 is distributed as q^(l - 1) times mak
+    ls = range(1, kk + 1)
+    shifted = tuple(f"mak_{l}+{l - 1}" for l in ls)
+    names = ("mak", *shifted)
+    hist: Tally = {name: Counter() for name in names}
+
+    def check(p: core.SetPartition) -> Iterator[tuple[str, str]]:
+        return _tally(hist, names, [stats.mak(p), *[stats.mak_l(p, l) + l - 1 for l in ls]])
+
+    cases, failures, detail = _each(check, "", n, kk)
+    base = QPolynomial.from_dict(hist["mak"])
+    targets = {name: base.shift(l - 1) for l, name in zip(ls, shifted)}
+    return cases * kk, failures + _compare(f"n={n} k={kk}", hist, targets), detail
+
+
+def _euler_cell(n: int, k: int) -> CellResult:
+    # tallied statistic by statistic, compared extra by extra
+    names = tuple(f"{s}+{e}" for s in _FOUR for e in ("bmaj", "binv"))
+    hist: Tally = {f"{s}+{e}": Counter() for e in ("bmaj", "binv") for s in _FOUR}
+
+    def check(op: core.OrderedSetPartition) -> Iterator[tuple[str, str]]:
+        yield from _theorem2(op)
+        bm, bi = stats.bmaj(op), stats.binv(op)
+        yield from _tally(hist, names, [v + x for v in stats.four_stats(op) for x in (bm, bi)])
+
+    cases, failures, detail = _each(check, "", n, k, ordered=True)
+    target = q_factorial(k) * q_stirling(n, k)
+    return cases, failures + _compare(f"n={n} k={k}", hist, dict.fromkeys(hist, target)), detail
 
 
 def _phii_cell(n: int, kk: int) -> CellResult:
@@ -438,39 +486,9 @@ def _phii_cell(n: int, kk: int) -> CellResult:
                         (p.text(), f"stat_{i} = stat_{i + 1}(image) - 1 = {right}", str(left))
                     )
             if len(set(images)) != len(members):
-                failures.append(
-                    (f"n={n} blocks={kk} openers={openers} i={i}",
-                     f"{len(members)} distinct images",
-                     str(len(set(images)))),
-                )
+                where = f"n={n} blocks={kk} openers={openers} i={i}"
+                failures.append((where, f"{len(members)} distinct images", str(len(set(images)))))
     return cases, failures, {f"n={n},k={kk}": sum(len(m) for m in classes.values())}
-
-
-def _eq13_cell(m: int, kk: int) -> CellResult:
-    # family: partitions of [m] into kk blocks; k = kk - 1
-    failures = []
-    k = kk - 1
-    base: dict[int, int] = {}
-    adjusted: list[dict[int, int]] = [dict() for _ in range(kk)]
-    count = 0
-    for p in core.enumerate_partitions(m, kk):
-        count += 1
-        mak_ = stats.mak(p)
-        base[mak_] = base.get(mak_, 0) + 1
-        for i in range(kk):  # i = 0..k, block index i+1
-            closer = p.blocks[i][-1]
-            e = mak_ + k - stats.nrinv(closer, p)
-            if e < 0:
-                failures.append((p.text(), f"non-negative shifted exponent (i={i})", str(e)))
-                continue
-            adjusted[i][e] = adjusted[i].get(e, 0) + 1
-    base_poly = QPolynomial.from_dict(base)
-    for i in range(kk):
-        got = QPolynomial.from_dict(adjusted[i])
-        want = base_poly.shift(i)
-        if got != want:
-            failures.append((f"m={m} blocks={kk} i={i}", want.text(), got.text()))
-    return count * kk, failures, {f"n={m},k={kk}": count}
 
 
 def _motzkin_count_cell(n: int) -> CellResult:
@@ -487,42 +505,10 @@ def _motzkin_count_cell(n: int) -> CellResult:
     if total != want:
         failures.append((f"paths of length {n}", str(want), str(total)))
     for k in range(n + 1):
-        if by_k.get(k, 0) != stirling2(n, k):
-            failures.append(
-                (f"paths of length {n} with {k} openings", str(stirling2(n, k)), str(by_k.get(k, 0)))
-            )
+        if by_k[k] != stirling2(n, k):
+            where = f"paths of length {n} with {k} openings"
+            failures.append((where, str(stirling2(n, k)), str(by_k[k])))
     return total, failures, {f"paths n={n}": total}
-
-
-def _euler_cell(n: int, k: int) -> CellResult:
-    failures = []
-    count = 0
-    combo_names = [
-        "mak+bmaj", "makp+bmaj", "lmak+bmaj", "lmakp+bmaj",
-        "mak+binv", "makp+binv", "lmak+binv", "lmakp+binv",
-    ]
-    sums: dict[str, dict[int, int]] = {name: {} for name in combo_names}
-    for op in core.enumerate_ordered(n, k):
-        count += 1
-        failures += [(op.text(), expected, actual) for expected, actual in _theorem2(op)]
-        mak_, makp_, lmak_, lmakp_ = stats.four_stats(op)
-        bm, bi = stats.bmaj(op), stats.binv(op)
-        base = {"mak": mak_, "makp": makp_, "lmak": lmak_, "lmakp": lmakp_}
-        for stat_name, value in base.items():
-            for extra_name, extra in (("bmaj", bm), ("binv", bi)):
-                v = value + extra
-                name = f"{stat_name}+{extra_name}"
-                if v < 0:
-                    failures.append((op.text(), f"{name} >= 0", str(v)))
-                    continue
-                d = sums[name]
-                d[v] = d.get(v, 0) + 1
-    target = q_factorial(k) * q_stirling(n, k)
-    for name in combo_names:
-        got = QPolynomial.from_dict(sums[name])
-        if got != target:
-            failures.append((f"n={n} k={k} stat={name}", target.text(), got.text()))
-    return count, failures, {f"n={n},k={k}": count}
 
 
 # ----------------------------------------------------------------------
@@ -579,8 +565,6 @@ def suite_size(name: str, n_max: int | None = None) -> int:
         if fn is _each:
             args = args[2:]  # (check, label, n[, k])
         total += family_size(*args, ordered=fn is _euler_cell)
-        if fn is _theorem3_cell and args[1]:  # the recurrence re-walks n - 1
-            total += family_size(args[0] - 1, args[1] - 1) + family_size(args[0] - 1, args[1])
     return total
 
 

@@ -103,6 +103,22 @@ def test_sizes_above_the_caps_are_refused_before_counting(capsys):
         assert (code, out, err) == (2, "", message), argv
 
 
+def test_usage_refusals_print_one_exact_line(capsys):
+    for argv, message in (
+        (["enumerate", "-n", "3", "-k", "5"], "k must satisfy 0 <= k <= n, got n=3 k=5"),
+        (["stats", "1,2/3", "-s", " , "], "no statistics requested"),
+        (["genfun", "-n", "3", "-k", "x"], "-k takes an integer or 'all', got 'x'"),
+        (["qstirling", "-n", "3", "-k", "x", "--json"], "-k takes an integer or 'all', got 'x'"),
+        (["motzkin", "1,2", "--decode", "NE SE"], "give a partition or --decode, not both"),
+        (["motzkin", "--decode", "NE SE", "--ascii"], "--ascii applies when encoding a partition"),
+        (["motzkin"], "give a partition to encode or --decode with a path"),
+        (["verify", "all", "--n-max", "-1"], "--n-max must be non-negative"),
+        (["genfun", "-n", "3", "-k", "x", "--threads", "0"], "--threads must be at least 1"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 # ----------------------------------------------------------------------
 # stats
 # ----------------------------------------------------------------------

@@ -38,8 +38,14 @@ def test_construction_and_views():
         QPolynomial.monomial(-1)
     with pytest.raises(ValueError):
         QPolynomial.from_dict({-2: 1})
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="coefficient 1.5 is not an int"):
         QPolynomial((1.5,))
+    with pytest.raises(TypeError, match="coefficient 1.5 is not an int"):
+        QPolynomial.from_dict({1: 1.5})
+    with pytest.raises(TypeError, match="coefficient '2' is not an int"):
+        QPolynomial([1, "2", 3, 0])
+    assert QPolynomial((0, 1, 0)).coefficients() == (0, 1)
+    assert QPolynomial((2, -3, 1, -1, 0, 7)).text() == "2 + -3*q + q^2 + -q^3 + 7*q^5"
 
 
 def test_text_and_json_refuse_huge_exponents():

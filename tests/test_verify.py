@@ -146,6 +146,44 @@ def test_every_suite_fails_on_a_fault(name, monkeypatch):
     assert "result: FAIL" in report.render_text()
 
 
+# Exact FAIL lines each distribution suite prints under its _FAULTS entry.
+_FAULT_LINES = {
+    "theorem3": ["FAIL n=3 k=2 stat=lmak: expected 2*q + q^2, got 2*q^2 + q^3"],
+    "eq13": [
+        "FAIL 1,2: expected mak_1+0 >= 0, got -1",
+        "FAIL n=3 k=2 stat=mak_2+1: expected 2*q^2 + q^3, got 2*q + q^2",
+    ],
+    "euler-mahonian": ["FAIL n=2 k=2 stat=makp+bmaj: expected q + q^2, got q^2 + q^3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULT_LINES))
+def test_distribution_suites_print_the_faulty_polynomial(name, monkeypatch):
+    module, attr, faulty = _FAULTS[name]
+    monkeypatch.setattr(module, attr, faulty)
+    lines = run_suite(name, n_max=5, threads=1, max_witnesses=100).render_text().splitlines()
+    for line in _FAULT_LINES[name]:
+        assert line in lines
+
+
+def test_theorem3_recurrence_reads_the_mak_dp(monkeypatch):
+    real = verify.mak_histograms
+
+    def off_by_one(n, threads=1):
+        hists = real(n, threads)
+        if n == 3:
+            hists[2][1] += 1  # S_q(3, 2) = 2q + q^2 becomes 3q + q^2
+        return hists
+
+    monkeypatch.setattr(verify, "mak_histograms", off_by_one)
+    report = run_suite("theorem3", n_max=5, threads=1)
+    assert not report.passed
+    assert [f.witness for f in report.failures] == ["n=4 k=2 recurrence", "n=4 k=3 recurrence"]
+    assert "FAIL n=4 k=2 recurrence: expected 3*q + 3*q^2 + q^3, got 4*q + 4*q^2 + q^3" in (
+        report.render_text().splitlines()
+    )
+
+
 def test_run_all_covers_every_suite():
     reports = run_all(n_max=4)
     assert [r.suite for r in reports] == list(SUITE_NAMES)
