@@ -9,7 +9,10 @@ gamma, and the mirror image of opener a takes the gamma of the closer
 matched to a by level.  The image is then rebuilt from that profile,
 each closer or passant inserted into the gamma-th incomplete block from
 the left, an incoming closer sealing its block, and ``classify`` must
-find in the image's word the roles that this pass wrote.
+find in the image's word the roles that this pass wrote.  The same pass
+files every element into its certificate row (the image's four role
+rows, the source's closer and passant rows), so no row is scanned for
+afterwards.
 
 The level matching is load-bearing, not a tie-break.  Opener a sits at
 trace level l_a, its matched closer at level l_a + 1, and the mirrored
@@ -30,15 +33,12 @@ that the two level sums agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import (
     CLOSER,
     OPENER,
-    PASSANT,
     SINGLETON,
     ElementClassification,
-    Kind,
     PartitionError,
     ProfileError,
     SetPartition,
@@ -90,12 +90,6 @@ class PhiCertificate:
         }
 
 
-def _row(kinds: Sequence[Kind], gamma: Sequence[int], kind: Kind) -> GammaRow:
-    """The elements of ``kind``, ascending, with their gammas."""
-    values = tuple(i for i, k in enumerate(kinds, start=1) if k is kind)
-    return GammaRow(values, tuple(gamma[i - 1] for i in values))
-
-
 def phi_certificate(p: SetPartition) -> PhiCertificate:
     """The involution applied to ``p``, with its gamma matrices."""
     p = _require_canonical(p, "phi is defined on canonically ordered partitions only")
@@ -104,17 +98,35 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
     # Reading the source profile from n down to 1 writes the image profile
     # left to right.  The mirror of a source opener takes the gamma of the
     # closer pushed last onto ``pending``, the one matched to it by level.
+    # The same pass files each element into its row: image element b into
+    # the image rows (ascending), source element a into the source closer
+    # and passant rows (descending until reversed below).
     kinds, gamma, pending = [], [], []
-    for kind, g in zip(reversed(profile.kinds), reversed(profile.gamma)):
+    singles, openers, closers, closer_g, passants, passant_g = [], [], [], [], [], []
+    source_f, source_f_g, source_p = [], [], []
+    n = p.n
+    for a, b, kind, g in zip(
+        range(n, 0, -1), range(1, n + 1), reversed(profile.kinds), reversed(profile.gamma)
+    ):
         if kind is CLOSER:
+            source_f.append(a)
+            source_f_g.append(g)
             kind = OPENER
             pending.append(g)
             g = len(pending)
+            openers.append(b)
         elif kind is OPENER:
             kind = CLOSER
             g = pending.pop()
+            closers.append(b)
+            closer_g.append(g)
         elif kind is SINGLETON:
             g = len(pending) + 1
+            singles.append(b)
+        else:  # a passant keeps its gamma
+            source_p.append(a)
+            passants.append(b)
+            passant_g.append(g)
         kinds.append(kind)
         gamma.append(g)
     try:
@@ -122,21 +134,21 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
     except ProfileError as exc:
         raise ConsistencyError(f"transferred labels rejected: {exc}") from exc
 
-    rows = [_row(kinds, gamma, kind) for kind in (SINGLETON, OPENER, CLOSER, PASSANT)]
-    *_, image_f, image_p = rows
+    image_f = GammaRow(tuple(closers), tuple(closer_g))
+    image_p = GammaRow(tuple(passants), tuple(passant_g))
     found = classify(image)  # an independent pass over the image's word
-    if [row.values for row in rows] != [
+    if (tuple(singles), tuple(openers), image_f.values, image_p.values) != (
         found.singletons,
         found.opener_nonsingletons,
         found.closer_nonsingletons,
         found.passants,
-    ]:
+    ):
         raise ConsistencyError("image classification does not mirror the source")
     return PhiCertificate(
         source=p,
         image=image,
-        source_f=_row(profile.kinds, profile.gamma, CLOSER),
-        source_p=_row(profile.kinds, profile.gamma, PASSANT),
+        source_f=GammaRow(tuple(reversed(source_f)), tuple(reversed(source_f_g))),
+        source_p=GammaRow(tuple(reversed(source_p)), tuple(reversed(passant_g))),
         image_f=image_f,
         image_p=image_p,
     )

@@ -288,9 +288,9 @@ class OrderedSetPartition:
     def word(self) -> tuple[int, ...]:
         return _word_from_blocks(self.blocks)
 
-    @property
+    @_cached
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(map(len, self.blocks))
 
     @property
     def k(self) -> int:
@@ -317,7 +317,7 @@ Partition = SetPartition | OrderedSetPartition
 
 
 def format_blocks(blocks: Sequence[Sequence[int]]) -> str:
-    return "/".join(",".join(str(x) for x in block) for block in blocks)
+    return "/".join(",".join(map(str, block)) for block in blocks)
 
 
 def _parse_blocks(text: str) -> list[list[int]]:

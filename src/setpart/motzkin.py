@@ -26,6 +26,10 @@ Validation happens at the boundary only: the ``LabeledMotzkinPath``
 constructor, ``parse``, ``from_json_dict`` and ``reflect`` check every
 step.  ``encode`` builds its path from a trace profile, which is valid by
 construction, through the private ``LabeledMotzkinPath._trusted``.
+
+Equal steps are shared: ``encode``, ``reflect`` and ``enumerate_paths``
+make each (kind, label) step once per call and reuse that object, which
+is safe because a ``Step`` is immutable.
 """
 
 from __future__ import annotations
@@ -176,12 +180,22 @@ _E1_STAR = Step(E, 1, starred=True)
 def encode(p: SetPartition) -> LabeledMotzkinPath:
     """The labeled path of a canonical partition."""
     profile = trace_profile(p)
-    steps = [
-        _NE1 if kind is OPENER
-        else _E1_STAR if kind is SINGLETON
-        else Step(SE if kind is CLOSER else E, g)
-        for kind, g in zip(profile.kinds, profile.gamma)
-    ]
+    # The SE and E step of each label, made on first use; labels run from
+    # 1 to the height, which is at most n / 2.
+    size = p.n // 2 + 1
+    se, e = [None] * size, [None] * size
+    steps = []
+    for kind, g in zip(profile.kinds, profile.gamma):
+        if kind is OPENER:
+            step = _NE1
+        elif kind is SINGLETON:
+            step = _E1_STAR
+        else:
+            made = se if kind is CLOSER else e
+            step = made[g]
+            if step is None:
+                step = made[g] = Step(SE if kind is CLOSER else E, g)
+        steps.append(step)
     return LabeledMotzkinPath._trusted(tuple(steps))
 
 
@@ -223,7 +237,10 @@ def reflect(path: LabeledMotzkinPath) -> LabeledMotzkinPath:
     for idx, step in enumerate(path.steps):
         if step.kind == SE:
             se_at.setdefault(heights[idx], deque()).append(idx)
-    label_for: dict[int, int] = {}
+    # Written left to right, then reversed.  The output SE step of each
+    # label is made once; labels run from 1 to the height, at most n / 2.
+    out = [_NE1 if step.kind == SE else step for step in path.steps]
+    se = [None] * (len(out) // 2 + 1)
     for idx, step in enumerate(path.steps):
         if step.kind != NE:
             continue
@@ -233,16 +250,11 @@ def reflect(path: LabeledMotzkinPath) -> LabeledMotzkinPath:
                 "step %d: no matching SE step at height %d"
                 % (idx + 1, heights[idx] + 1)
             )
-        label_for[idx] = path.steps[pool.popleft()].label
-    out: list[Step] = []
-    for idx in range(len(path.steps) - 1, -1, -1):
-        step = path.steps[idx]
-        if step.kind == NE:
-            out.append(Step(SE, label_for[idx]))
-        elif step.kind == SE:
-            out.append(_NE1)
-        else:
-            out.append(step)
+        label = path.steps[pool.popleft()].label
+        if se[label] is None:
+            se[label] = Step(SE, label)
+        out[idx] = se[label]
+    out.reverse()
     return LabeledMotzkinPath(tuple(out))
 
 
@@ -256,6 +268,9 @@ def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
     if n < 0:
         raise PathError("path length must be non-negative")
     steps: list[Step] = []
+    # The SE and E steps of labels 1, 2, ..., made once; heights stay <= n / 2.
+    se = [Step(SE, g) for g in range(1, n // 2 + 1)]
+    e = [Step(E, g) for g in range(1, n // 2 + 1)]
 
     def rec(i: int, h: int) -> Iterator[LabeledMotzkinPath]:
         if i == n:
@@ -264,13 +279,13 @@ def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
             return
         rem = n - i - 1  # steps after this one
         if h >= 1:
-            for g in range(1, h + 1):
-                steps.append(Step(SE, g))
+            for step in se[:h]:
+                steps.append(step)
                 yield from rec(i + 1, h - 1)
                 steps.pop()
             if h <= rem:
-                for g in range(1, h + 1):
-                    steps.append(Step(E, g))
+                for step in e[:h]:
+                    steps.append(step)
                     yield from rec(i + 1, h)
                     steps.pop()
         if h <= rem:

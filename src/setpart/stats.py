@@ -45,7 +45,8 @@ Element-level inversion counts, for b in block j:
     linv(b)  = #{a in earlier blocks: a > b}
 
 mak_l adjusts mak by the closer of the l-th block:
-mak_l = mak - nrinv(max(B_l)) + k - l, so mak_k = mak.
+mak_l = mak - nrinv(max(B_l)) + k - l, so mak_k = mak.  ``mak_ls`` gives
+all k of them from one pass over the block bitmasks, kept per object.
 
 For a partition with k+1 blocks, stat_i = k - rinv(F) - nrinv(max(B_i))
 may be negative.
@@ -122,15 +123,21 @@ def coord_sum(p: Partition, kind: CoordKind) -> int:
     return sum(coord_stat(p, kind, i) for i in range(1, p.n + 1))
 
 
-def _coord_pass(p: Partition) -> tuple[int, int, int, int, int, int, int, int]:
-    """The eight coordinate sums in ``CoordKind`` order, from one element
-    bitmask per block."""
+def _block_masks(p: Partition) -> list[int]:
+    """One int per block, in block order, with bit i - 1 set for each of
+    its elements i."""
     masks = [0] * p.k
     for i, b in enumerate(p.word):
         masks[b - 1] |= 1 << i  # element i + 1 sits at bit i
+    return masks
+
+
+def _coord_pass(p: Partition) -> tuple[int, int, int, int, int, int, int, int]:
+    """The eight coordinate sums in ``CoordKind`` order, from one element
+    bitmask per block."""
     left, right = 0, (1 << p.n) - 1  # elements of earlier / later blocks
     ros = rob = rcs = rcb = los = lob = lcs = lcb = 0
-    for m in masks:
+    for m in _block_masks(p):
         right ^= m
         o = (m & -m).bit_length()  # the opener
         f = m.bit_length()  # the closer
@@ -220,13 +227,30 @@ def linv_closers(p: Partition) -> int:
     return sum(linv(b, p) for b in classify(p).closers)
 
 
+def mak_ls(p: SetPartition) -> tuple[int, ...]:
+    """(mak_1, ..., mak_k), where mak_l = mak - nrinv(max(B_l)) + k - l."""
+    p = _require_canonical(p, "mak_l is defined on canonically ordered partitions only")
+    return _memo(p, "_mak_ls", _mak_ls_pass)
+
+
+def _mak_ls_pass(p: SetPartition) -> tuple[int, ...]:
+    # nrinv of block l's closer f counts the elements of later blocks
+    # above f: the bits of ``right`` from bit f (element f + 1) up.
+    shifted = mak(p) + p.k
+    right = (1 << p.n) - 1  # elements of later blocks
+    out = []
+    for l, m in enumerate(_block_masks(p), start=1):
+        right ^= m
+        out.append(shifted - (right >> m.bit_length()).bit_count() - l)
+    return tuple(out)
+
+
 def mak_l(p: SetPartition, l: int) -> int:
     """mak adjusted at the l-th block: mak - nrinv(max(B_l)) + k - l."""
     p = _require_canonical(p, "mak_l is defined on canonically ordered partitions only")
     if not 1 <= l <= p.k:
         raise PartitionError(f"block index {l} outside 1..{p.k}")
-    closer = p.blocks[l - 1][-1]
-    return mak(p) - nrinv(closer, p) + p.k - l
+    return mak_ls(p)[l - 1]
 
 
 def stat_i(p: SetPartition, i: int) -> int:

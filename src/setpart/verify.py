@@ -412,7 +412,7 @@ def _theorem3_cell(n: int, k: int) -> CellResult:
     hist: Tally = {name: Counter() for name in names}
 
     def check(p: core.SetPartition) -> Iterator[tuple[str, str]]:
-        return _tally(hist, names, [*stats.four_stats(p), *[stats.mak_l(p, l) for l in ls]])
+        return _tally(hist, names, [*stats.four_stats(p), *stats.mak_ls(p)])
 
     cases, failures, detail = _each(check, "", n, k)
     failures += _compare(f"n={n} k={k}", hist, dict.fromkeys(names, q_stirling(n, k)))
@@ -435,7 +435,7 @@ def _eq13_cell(n: int, kk: int) -> CellResult:
     hist: Tally = {name: Counter() for name in names}
 
     def check(p: core.SetPartition) -> Iterator[tuple[str, str]]:
-        return _tally(hist, names, [stats.mak(p), *[stats.mak_l(p, l) + l - 1 for l in ls]])
+        return _tally(hist, names, [stats.mak(p), *[m + i for i, m in enumerate(stats.mak_ls(p))]])
 
     cases, failures, detail = _each(check, "", n, kk)
     base = QPolynomial.from_dict(hist["mak"])

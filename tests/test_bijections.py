@@ -10,7 +10,10 @@ from setpart.bijections import (
     phi_i,
 )
 from setpart.core import (
+    CLOSER,
+    PASSANT,
     PartitionError,
+    SetPartition,
     classify,
     enumerate_partitions,
     parse_ordered,
@@ -18,6 +21,8 @@ from setpart.core import (
     trace_profile,
 )
 from setpart.stats import mak, makp, stat_i
+
+from test_core import LONG_SEEDED_WORDS
 
 
 def test_certificate_fixture():
@@ -83,6 +88,35 @@ def test_image_classes_mirror_the_source():
             assert icls.passants == mirror(cls.passants)
             assert icls.opener_nonsingletons == mirror(cls.closer_nonsingletons)
             assert icls.closer_nonsingletons == mirror(cls.opener_nonsingletons)
+
+
+def _scanned_row(kinds, gamma, kind) -> GammaRow:
+    # one scan over all n kinds per row
+    values = tuple(i for i, k in enumerate(kinds, start=1) if k is kind)
+    return GammaRow(values, tuple(gamma[i - 1] for i in values))
+
+
+def test_certificate_rows_equal_a_scan_of_each_profile(monkeypatch):
+    written = []
+    rebuild = bijections.rebuild_from_profile
+
+    def recording(kinds, gamma):
+        written.append((kinds, gamma))
+        return rebuild(kinds, gamma)
+
+    monkeypatch.setattr(bijections, "rebuild_from_profile", recording)
+    partitions = [p for n in range(9) for p in enumerate_partitions(n)]
+    partitions += [SetPartition(w) for w in LONG_SEEDED_WORDS]
+    for p in partitions:
+        cert = phi_certificate(p)
+        source = trace_profile(p)
+        kinds, gamma = written.pop()
+        assert (cert.source_f, cert.source_p, cert.image_f, cert.image_p) == (
+            _scanned_row(source.kinds, source.gamma, CLOSER),
+            _scanned_row(source.kinds, source.gamma, PASSANT),
+            _scanned_row(kinds, gamma, CLOSER),
+            _scanned_row(kinds, gamma, PASSANT),
+        ), p.text()
 
 
 def test_phi_checks_the_image_against_the_written_roles(monkeypatch):

@@ -7,14 +7,18 @@ point works outside the test process.
 """
 
 import json
+import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from setpart import cli, core, stats
 from setpart.stats import CoordKind
 
+from test_core import seeded_word
 from test_stats import P2_ORDER, P2_ROWS
 
 
@@ -452,6 +456,42 @@ def test_motzkin_bad_path_json(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def phi_motzkin_transcript(stdout_of) -> str:
+    """Every phi and motzkin output form for the README example and 50
+    seeded partitions with n <= 64, as ``$ setpart ARGS`` lines each
+    followed by the command's stdout; ``stdout_of(args)`` runs one command.
+    ``motzkin --decode`` is given the text that ``motzkin`` printed."""
+    rng = random.Random(10)
+    texts = ["1,4,8/2/3,7,9/5,6"]
+    for _ in range(50):
+        n = rng.randint(1, 64)
+        texts.append(core.SetPartition(seeded_word(rng, n, rng.randint(1, n))).text())
+    commands = [["motzkin", "--decode", "NE(1) SE(1)"]]
+    for text in texts:
+        commands += [["phi", text], ["phi", text, "--json"], ["phi", text, "--certificate"]]
+        commands += [["motzkin", text, "--json"], ["motzkin", text, "--ascii"]]
+        commands += [["motzkin", text], ["motzkin", "--decode", None]]
+    transcript, out = [], ""
+    for args in commands:
+        args = [out.strip() if arg is None else arg for arg in args]
+        out = stdout_of(args)
+        transcript.append(f"$ setpart {shlex.join(args)}\n{out}")
+    return "".join(transcript)
+
+
+def test_phi_and_motzkin_stdout_equals_the_golden_file(capsys):
+    def stdout_of(args):
+        code, out, err = run(args, capsys)
+        assert (code, err) == (0, ""), args
+        return out
+
+    expected = (GOLDEN / "phi_motzkin.txt").read_text()
+    assert phi_motzkin_transcript(stdout_of) == expected
 
 
 # ----------------------------------------------------------------------

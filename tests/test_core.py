@@ -68,6 +68,20 @@ def _seeded_words():
 SEEDED_WORDS = _seeded_words()
 
 
+def _long_seeded_words():
+    """500 restricted growth words with 16 <= n <= 64 and 1 <= k <= n
+    blocks, drawn from a fixed seed."""
+    rng = random.Random(2010)
+    words = []
+    for _ in range(500):
+        n = rng.randint(16, 64)
+        words.append(seeded_word(rng, n, rng.randint(1, n)))
+    return words
+
+
+LONG_SEEDED_WORDS = _long_seeded_words()
+
+
 def _with_seeded_words(test):
     """Add every seeded word as an explicit hypothesis example."""
     for word in SEEDED_WORDS:
@@ -252,6 +266,9 @@ def test_equality_and_hash_ignore_the_cached_views():
             trace_profile(warm)
             assert warm.k == max(warm.word, default=0)
             assert "k" in warm.__dict__ and "k" not in cold.__dict__
+        else:
+            assert warm.n == sum(map(len, warm.blocks))
+            assert "n" in warm.__dict__ and "n" not in cold.__dict__
         assert warm.__dict__.keys() != cold.__dict__.keys()
         assert warm == cold and cold == warm
         assert hash(warm) == hash(cold)

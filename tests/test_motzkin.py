@@ -2,7 +2,15 @@ import pytest
 
 import oracles
 from setpart.bijections import phi
-from setpart.core import SetPartition, enumerate_partitions, parse_partition
+from setpart.core import (
+    CLOSER,
+    OPENER,
+    SINGLETON,
+    SetPartition,
+    enumerate_partitions,
+    parse_partition,
+    trace_profile,
+)
 from setpart.motzkin import (
     E,
     NE,
@@ -18,7 +26,7 @@ from setpart.motzkin import (
     reflect,
 )
 
-from test_core import SEEDED_WORDS
+from test_core import LONG_SEEDED_WORDS, SEEDED_WORDS
 
 P3 = parse_partition("1,4,8/2/3,7,9/5,6")
 P3_PATH = "NE(1) E(1*) NE(1) E(1) NE(1) SE(3) E(2) SE(1) SE(1)"
@@ -66,11 +74,42 @@ def test_encoded_paths_pass_the_validating_constructor():
         assert LabeledMotzkinPath.parse(path.text()) == path
 
 
+def _path_of_fresh_steps(p):
+    # a new Step object for every element
+    profile = trace_profile(p)
+    steps = []
+    for kind, g in zip(profile.kinds, profile.gamma):
+        if kind is OPENER:
+            steps.append(Step(NE, 1))
+        elif kind is SINGLETON:
+            steps.append(Step(E, 1, starred=True))
+        else:
+            steps.append(Step(SE if kind is CLOSER else E, g))
+    return LabeledMotzkinPath(tuple(steps))
+
+
+def _one_object_per_step(paths) -> bool:
+    steps = [step for path in paths for step in path.steps]
+    return len({id(step) for step in steps}) == len(set(steps))
+
+
+def test_encode_equals_a_path_of_fresh_steps_and_shares_equal_ones():
+    partitions = [p for n in range(9) for p in enumerate_partitions(n)]
+    partitions += [SetPartition(word) for word in LONG_SEEDED_WORDS]
+    for p in partitions:
+        path = encode(p)
+        assert path == _path_of_fresh_steps(p), p.text()
+        assert _one_object_per_step([path]), p.text()
+
+
 def test_reflect_is_an_involution():
-    for n in range(7):
-        for p in enumerate_partitions(n):
-            path = encode(p)
-            assert reflect(reflect(path)) == path
+    partitions = [p for n in range(7) for p in enumerate_partitions(n)]
+    partitions += [SetPartition(word) for word in LONG_SEEDED_WORDS]
+    for p in partitions:
+        path = encode(p)
+        mirrored = reflect(path)
+        assert _one_object_per_step([mirrored])
+        assert reflect(mirrored) == path
 
 
 def test_path_route_matches_direct_involution():
@@ -84,6 +123,8 @@ def test_path_counts():
         paths = list(enumerate_paths(n))
         assert len(paths) == oracles.bell(n)
         assert len(set(paths)) == len(paths)
+        assert all(LabeledMotzkinPath(path.steps) == path for path in paths)
+        assert _one_object_per_step(paths)
         by_k: dict[int, int] = {}
         for path in paths:
             openings = sum(

@@ -36,7 +36,7 @@ from setpart.stats import (
     rinv_closers,
     stat_i,
 )
-from test_core import rgf_words, seeded_word
+from test_core import LONG_SEEDED_WORDS, SEEDED_WORDS, rgf_words, seeded_word
 
 P2 = parse_partition("1,4,8/2,9/3,7/5,6")
 P3 = parse_partition("1,4,8/2/3,7,9/5,6")
@@ -123,6 +123,18 @@ def test_mak_k_equals_mak_everywhere():
         for p in enumerate_partitions(n):
             if p.k:
                 assert mak_l(p, p.k) == mak(p)
+
+
+def test_mak_ls_equals_the_formula_at_every_block():
+    partitions = [p for n in range(9) for p in enumerate_partitions(n)]
+    partitions += [SetPartition(w) for w in SEEDED_WORDS + LONG_SEEDED_WORDS]
+    for p in partitions:
+        ls = range(1, p.k + 1)
+        want = [mak(p) - nrinv(max(p.blocks[l - 1]), p) + p.k - l for l in ls]
+        assert list(stats.mak_ls(p)) == want
+        assert [mak_l(p, l) for l in ls] == want
+    with pytest.raises(PartitionError, match="^mak_l is defined on canonically ordered"):
+        stats.mak_ls(parse_ordered("2/1"))
 
 
 def test_stat_i_fixtures():
