@@ -16,32 +16,32 @@ number of valid paths of length n is the n-th Bell number.
 ``reflect`` mirrors a path left to right: NE and SE swap, E steps keep
 their label and star at the mirrored position, and each output SE step
 (sitting where an input NE step was) takes the label of the SE step
-matched to that NE step by level: scanning NE steps left to right, an
-NE step leaving height h is paired with the leftmost unpaired SE step
-leaving height h+1.  Up- and down-crossings of every level balance, so
-the pairing always exists.  Decoding the reflection of the encoding of
-p gives exactly ``bijections.phi(p)``.
+that closes that NE step, found with a stack of open NE steps.  NE
+steps leaving height h and SE steps leaving height h+1 alternate, so
+this is the level pairing "leftmost unpaired SE step leaving height
+h+1".  Decoding the reflection of the encoding of p gives exactly
+``bijections.phi(p)``.
 
 Validation happens at the boundary only: the ``LabeledMotzkinPath``
 constructor, ``parse``, ``from_json_dict`` and ``reflect`` check every
 step.  ``encode`` builds its path from a trace profile, which is valid by
 construction, through the private ``LabeledMotzkinPath._trusted``.
+``decode`` trusts its path, checked or built valid when it was made.
 
-Equal steps are shared: ``encode``, ``reflect`` and ``enumerate_paths``
-make each (kind, label) step once per call and reuse that object, which
-is safe because a ``Step`` is immutable.
+Equal steps are shared: ``encode`` and ``enumerate_paths`` make each
+(kind, label) step once per call, and ``reflect`` reuses the first input
+SE step of each label; a ``Step`` is immutable.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import CLOSER, OPENER, PASSANT, SINGLETON
-from .core import SetPartition, rebuild_from_profile, trace_profile
+from .core import CLOSER, OPENER, SINGLETON
+from .core import SetPartition, trace_profile
 
 NE, SE, E = "NE", "SE", "E"
 _KINDS = (NE, SE, E)
@@ -200,25 +200,28 @@ def encode(p: SetPartition) -> LabeledMotzkinPath:
 
 
 def decode(path: LabeledMotzkinPath) -> SetPartition:
-    """The partition whose encoding is ``path`` (profile rebuild)."""
-    kinds, gammas = [], []
-    h = 0  # height before the step
-    for step in path.steps:
-        if step.kind == NE:
-            kinds.append(OPENER)
-            h += 1
-            gammas.append(h)
-        elif step.kind == SE:
-            kinds.append(CLOSER)
-            gammas.append(step.label)
-            h -= 1
-        elif step.starred:
-            kinds.append(SINGLETON)
-            gammas.append(h + 1)
-        else:
-            kinds.append(PASSANT)
-            gammas.append(step.label)
-    return rebuild_from_profile(kinds, gammas)
+    """The partition whose encoding is ``path``, in one pass: an NE or
+    starred E step opens a block, incomplete for NE; an SE or plain E
+    step joins the label-th incomplete block from the left, SE sealing it."""
+    word: list[int] = []
+    incomplete: list[int] = []  # the incomplete blocks, ascending
+    top = 0
+    try:
+        for step in path.steps:
+            if step.kind == NE or step.starred:
+                top += 1
+                word.append(top)
+                if step.kind == NE:
+                    incomplete.append(top)
+            elif step.kind == SE:
+                word.append(incomplete.pop(step.label - 1))
+            else:
+                word.append(incomplete[step.label - 1])
+    except IndexError:
+        # a label above the height, on an unchecked path: the checks name it
+        LabeledMotzkinPath(path.steps)
+        raise
+    return SetPartition._trusted(tuple(word))
 
 
 def reflect(path: LabeledMotzkinPath) -> LabeledMotzkinPath:
@@ -226,34 +229,27 @@ def reflect(path: LabeledMotzkinPath) -> LabeledMotzkinPath:
 
     NE and SE swap kinds; E steps keep label and star at the mirrored
     position.  Each output SE step inherits the label of the input SE
-    step matched by level to the NE step it replaces: scanning NE steps
-    left to right, an NE step leaving height h is paired with the
-    leftmost unpaired SE step leaving height h + 1.  The pairing always
-    exists and keeps every transferred label inside the mirrored step's
-    allowed range.
+    step that closes the NE step it replaces: a left-to-right pass keeps
+    a stack of open NE steps, and each SE step pops the one it closes.
     """
-    heights = path.heights()
-    se_at: dict[int, deque[int]] = {}
-    for idx, step in enumerate(path.steps):
-        if step.kind == SE:
-            se_at.setdefault(heights[idx], deque()).append(idx)
-    # Written left to right, then reversed.  The output SE step of each
-    # label is made once; labels run from 1 to the height, at most n / 2.
-    out = [_NE1 if step.kind == SE else step for step in path.steps]
-    se = [None] * (len(out) // 2 + 1)
-    for idx, step in enumerate(path.steps):
-        if step.kind != NE:
-            continue
-        pool = se_at.get(heights[idx] + 1)
-        if not pool:
-            raise PathError(
-                "step %d: no matching SE step at height %d"
-                % (idx + 1, heights[idx] + 1)
-            )
-        label = path.steps[pool.popleft()].label
-        if se[label] is None:
-            se[label] = Step(SE, label)
-        out[idx] = se[label]
+    steps = path.steps
+    # Written left to right, then reversed.
+    out = list(steps)
+    se: dict[int, Step] = {}
+    opened = []  # positions of the NE steps not yet closed, innermost last
+    try:
+        for idx, step in enumerate(steps):
+            if step.kind == NE:
+                opened.append(idx)
+            elif step.kind == SE:
+                out[opened.pop()] = se.setdefault(step.label, step)
+                out[idx] = _NE1
+    except IndexError:
+        # an SE step below height 0, on an unchecked path: the checks name it
+        LabeledMotzkinPath(steps)
+        raise
+    if opened:
+        raise PathError("step %d: no matching SE step at height 1" % (opened[0] + 1))
     out.reverse()
     return LabeledMotzkinPath(tuple(out))
 

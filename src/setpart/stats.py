@@ -49,7 +49,7 @@ mak_l = mak - nrinv(max(B_l)) + k - l, so mak_k = mak.  ``mak_ls`` gives
 all k of them from one pass over the block bitmasks, kept per object.
 
 For a partition with k+1 blocks, stat_i = k - rinv(F) - nrinv(max(B_i))
-may be negative.
+may be negative; its rinv(F) term is summed once per object.
 
 Ordered partitions additionally carry the dominance order B > B' (every
 element of B exceeds every element of B', i.e. min(B) > max(B')), giving
@@ -260,7 +260,7 @@ def stat_i(p: SetPartition, i: int) -> int:
         raise PartitionError(f"block index {i} outside 1..{p.k}")
     k = p.k - 1
     closer = p.blocks[i - 1][-1]
-    return k - rinv_closers(p) - nrinv(closer, p)
+    return k - _memo(p, "_rinv_closers", rinv_closers) - nrinv(closer, p)
 
 
 def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

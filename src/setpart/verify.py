@@ -362,7 +362,9 @@ def _motzkin_roundtrip(p: core.SetPartition) -> Iterator[tuple[str, str]]:
 def _motzkin_reflect(p: core.SetPartition) -> Iterator[tuple[str, str]]:
     caught = (motzkin.PathError, bijections.ConsistencyError, core.PartitionError)
     try:
-        via_paths = motzkin.phi_via_paths(p)
+        path = motzkin.encode(p)
+        mirror = motzkin.reflect(path)
+        via_paths = motzkin.decode(mirror)
         direct = bijections.phi(p)
     except caught as exc:
         yield "phi via paths = phi", f"raised: {exc}"
@@ -370,8 +372,7 @@ def _motzkin_reflect(p: core.SetPartition) -> Iterator[tuple[str, str]]:
     if via_paths != direct:
         yield direct.text(), via_paths.text()
     try:
-        path = motzkin.encode(p)
-        twice = motzkin.reflect(motzkin.reflect(path))
+        twice = motzkin.reflect(mirror)
     except caught as exc:
         yield "reflect is an involution", f"raised: {exc}"
         return
@@ -497,9 +498,8 @@ def _motzkin_count_cell(n: int) -> CellResult:
     by_k: Counter[int] = Counter()
     for path in motzkin.enumerate_paths(n):
         total += 1
-        openings = sum(
-            1 for s in path.steps if s.kind == motzkin.NE or (s.kind == motzkin.E and s.starred)
-        )
+        # only E steps may be starred
+        openings = sum(1 for s in path.steps if s.kind == motzkin.NE or s.starred)
         by_k[openings] += 1
     want = bell_number(n)
     if total != want:

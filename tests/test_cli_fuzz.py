@@ -10,17 +10,20 @@ enough that a cap or the enumeration budget must refuse them before any
 work, so a command that runs past the per-example deadline fails.
 
 Free text never starts with "-", which argparse would read as an option
-and answer with its own usage error, and ``--threads`` stays at most 1,
-so that no example starts worker processes.
+and answer with its own usage error.  ``--threads`` stays at most 1,
+except that a ``verify`` command line with ``--n-max`` at most 4 may ask
+for 2, so that no example starts more than two worker processes; its
+stdout must then equal the same command's stdout at ``--threads 1``.
 """
 
 import contextlib
 import io
 import json
 import random
+import re
 from datetime import timedelta
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setpart import cli, verify
@@ -78,6 +81,7 @@ INTS = st.integers(-2, 6)
 def argvs(draw):
     commands = ["enumerate", "stats", "genfun", "qstirling", "phi", "phi-i", "motzkin", "verify"]
     command = draw(st.sampled_from(commands))
+    two_workers = False
     argv = [command]
     optional = lambda *flag: argv.extend(flag) if draw(st.booleans()) else None
     if command == "enumerate":
@@ -119,19 +123,39 @@ def argvs(draw):
         n_max = draw(st.integers(-1, 5) | st.sampled_from([14, 21, 10**6]))
         argv += ["--n-max", str(n_max)]
         optional("--max-witnesses", str(draw(st.integers(-1, 3))))
+        two_workers = n_max <= 4 and draw(st.booleans())
     optional("--json")
-    optional("--threads", draw(st.sampled_from(["1", "1", "1", "0", "-1"])))
+    if two_workers:
+        argv += ["--threads", "2"]
+    else:
+        optional("--threads", draw(st.sampled_from(["1", "1", "1", "0", "-1"])))
     return argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _untimed(stdout):
+    # the JSON report carries its own wall time
+    return re.sub(r'"wall_time_s": [-+.0-9e]+', '"wall_time_s": null', stdout)
 
 
 @settings(max_examples=500, deadline=timedelta(seconds=10))
 @given(argvs())
+@example(["verify", "all", "--n-max", "4", "--threads", "2"])
+@example(["verify", "motzkin", "--n-max", "4", "--json", "--threads", "2"])
 def test_every_command_line_ends_in_an_exit_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    code, out, err = _run(argv)
     assert code in (0, 1, 2)
     if code:
-        lines = err.getvalue().splitlines()
+        lines = err.splitlines()
         assert len(lines) <= 1, lines
         assert all(line.startswith("error: ") for line in lines), lines
+    if argv[-2:] == ["--threads", "2"]:
+        one = _run(argv[:-1] + ["1"])
+        assert one[0] == code
+        assert _untimed(one[1]) == _untimed(out)

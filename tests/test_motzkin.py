@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 import oracles
@@ -5,10 +7,12 @@ from setpart.bijections import phi
 from setpart.core import (
     CLOSER,
     OPENER,
+    PASSANT,
     SINGLETON,
     SetPartition,
     enumerate_partitions,
     parse_partition,
+    rebuild_from_profile,
     trace_profile,
 )
 from setpart.motzkin import (
@@ -110,6 +114,79 @@ def test_reflect_is_an_involution():
         mirrored = reflect(path)
         assert _one_object_per_step([mirrored])
         assert reflect(mirrored) == path
+
+
+def _level_reflect(path):
+    # the level pairing reflect replaced: scanning NE steps left to right,
+    # an NE step leaving height h takes the leftmost unpaired SE step
+    # leaving height h + 1
+    heights = path.heights()
+    se_at = {}
+    for idx, step in enumerate(path.steps):
+        if step.kind == SE:
+            se_at.setdefault(heights[idx], deque()).append(idx)
+    out = [Step(NE, 1) if step.kind == SE else step for step in path.steps]
+    for idx, step in enumerate(path.steps):
+        if step.kind == NE:
+            out[idx] = Step(SE, path.steps[se_at[heights[idx] + 1].popleft()].label)
+    return LabeledMotzkinPath(tuple(reversed(out)))
+
+
+def _profile_decode(path):
+    # the profile rebuild decode replaced, with all its checks
+    kinds, gammas = [], []
+    h = 0  # height before the step
+    for step in path.steps:
+        if step.kind == NE:
+            kinds.append(OPENER)
+            h += 1
+            gammas.append(h)
+        elif step.kind == SE:
+            kinds.append(CLOSER)
+            gammas.append(step.label)
+            h -= 1
+        elif step.starred:
+            kinds.append(SINGLETON)
+            gammas.append(h + 1)
+        else:
+            kinds.append(PASSANT)
+            gammas.append(step.label)
+    return rebuild_from_profile(kinds, gammas)
+
+
+def _reference_paths():
+    paths = [path for n in range(9) for path in enumerate_paths(n)]
+    # parsed paths share no step objects
+    paths += [LabeledMotzkinPath.parse(path.text()) for path in paths[::7]]
+    paths += [LabeledMotzkinPath.parse(P3_PATH), LabeledMotzkinPath.parse(P3_IMAGE_PATH)]
+    paths += [encode(SetPartition(word)) for word in LONG_SEEDED_WORDS]
+    return paths
+
+
+def test_reflect_and_decode_equal_the_passes_they_replace():
+    for path in _reference_paths():
+        mirrored = reflect(path)
+        assert mirrored == _level_reflect(path), path.text()
+        # one object per output SE label, even when the input shares none
+        se_steps = [step for step in mirrored.steps if step.kind == SE]
+        assert len({id(step) for step in se_steps}) == len(set(se_steps)), path.text()
+        assert decode(path) == _profile_decode(path), path.text()
+
+
+def test_unchecked_paths_end_in_a_path_error():
+    # one label above the height
+    too_high = LabeledMotzkinPath._trusted((Step(NE, 1), Step(E, 1), Step(SE, 2)))
+    with pytest.raises(PathError, match="^step 3: label 2 outside \\[1, 1\\]$"):
+        decode(too_high)
+    with pytest.raises(PathError, match="^step 3: label 2 outside \\[1, 1\\]$"):
+        reflect(too_high)
+    # an SE step below height 0
+    below = LabeledMotzkinPath._trusted((Step(SE, 1), Step(NE, 1)))
+    for route in (decode, reflect):
+        with pytest.raises(PathError, match="^step 1: label 1 outside \\[1, 0\\]$"):
+            route(below)
+    with pytest.raises(PathError, match="^step 1: no matching SE step at height 1$"):
+        reflect(LabeledMotzkinPath._trusted((Step(NE, 1), Step(E, 1))))
 
 
 def test_path_route_matches_direct_involution():

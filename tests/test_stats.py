@@ -150,6 +150,34 @@ def test_stat_i_fixtures():
         stat_i(parse_ordered("2/1"), 1)
 
 
+def test_stat_i_equals_the_oracle_on_seeded_words():
+    # every partition of n <= 7 is in test_c10_cross_oracle_agreement; the
+    # oracle is cubic in n, so a quarter of the long words
+    for word in SEEDED_WORDS + LONG_SEEDED_WORDS[::4]:
+        p = SetPartition(word)
+        for i in range(1, p.k + 1):
+            assert stat_i(p, i) == oracles.stat_i(p.blocks, i), (p.text(), i)
+
+
+def test_stat_i_sums_rinv_closers_once_per_object(monkeypatch):
+    calls = []
+    real = stats.rinv_closers
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(stats, "rinv_closers", counting)
+    p = parse_partition("1,4,8/2/3/5,6,7,9")
+    assert [stat_i(p, i) for i in (3, 4, 3)] == [-6, -2, -6]
+    assert len(calls) == 1
+    # the sum is not kept for rinv_closers' own callers
+    assert stats.rinv_closers(p) == 5 and len(calls) == 2
+    # an equal but distinct object counts again: the memo is per object
+    assert stat_i(parse_partition("1,4,8/2/3/5,6,7,9"), 4) == -2
+    assert len(calls) == 3
+
+
 def test_single_block_and_all_singletons():
     single = parse_partition("1,2,3,4,5")
     assert (mak(single), makp(single), lmak(single), lmakp(single)) == (0, 0, 0, 0)

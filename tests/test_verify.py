@@ -167,6 +167,60 @@ def test_distribution_suites_print_the_faulty_polynomial(name, monkeypatch):
         assert line in lines
 
 
+def _oldest_first_reflect(path):
+    # reflect with each SE step closing the oldest open NE step, not the newest
+    out, opened = list(path.steps), []
+    for idx, step in enumerate(path.steps):
+        if step.kind == motzkin.NE:
+            opened.append(idx)
+        elif step.kind == motzkin.SE:
+            out[opened.pop(0)], out[idx] = step, motzkin.Step(motzkin.NE, 1)
+    return motzkin.LabeledMotzkinPath(tuple(reversed(out)))
+
+
+def _first_closer_label_plus_one(p, encode=motzkin.encode):
+    # the default keeps the real encode once this fault replaces it
+    steps = list(encode(p).steps)
+    first = next((i for i, s in enumerate(steps) if s.kind == motzkin.SE), None)
+    if first is not None:
+        steps[first] = motzkin.Step(motzkin.SE, steps[first].label + 1)
+    return motzkin.LabeledMotzkinPath._trusted(tuple(steps))
+
+
+# A fault in a step of the path route: FAIL lines it must print at
+# n_max = 5, and its number of failures.
+_PATH_FAULTS = {
+    "reflect": (
+        _oldest_first_reflect,
+        ["FAIL 1,4/2,3: expected phi via paths = phi, got raised: step 4: label 2 outside [1, 1]"],
+        1,
+    ),
+    "encode": (
+        _first_closer_label_plus_one,
+        [
+            "FAIL 1,2: expected decode(encode(p)) = p, got raised: step 2: label 2 outside [1, 1]",
+            "FAIL 1,3/2,4: expected decode(encode(p)) = p, got 1,4/2,3",
+            "FAIL 1,4/2,3: expected decode(encode(p)) = p, got raised: step 3: label 3 outside [1, 2]",
+            "FAIL 1,2: expected phi via paths = phi, got raised: step 2: label 2 outside [1, 1]",
+        ],
+        89,
+    ),
+}
+
+
+@pytest.mark.parametrize("attr", sorted(_PATH_FAULTS))
+def test_motzkin_suite_prints_the_witness_of_a_path_fault(attr, monkeypatch):
+    faulty, want, count = _PATH_FAULTS[attr]
+    monkeypatch.setattr(motzkin, attr, faulty)
+    report = run_suite("motzkin", n_max=5, threads=1, max_witnesses=100)
+    lines = report.render_text().splitlines()
+    assert lines[-1] == "result: FAIL"
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert report.failure_count == len(fails) == count
+    for line in want:
+        assert line in fails
+
+
 def test_theorem3_recurrence_reads_the_mak_dp(monkeypatch):
     real = verify.mak_histograms
 
