@@ -39,8 +39,8 @@ def _within_budget(size: int) -> None:
         raise _Refused(f"would enumerate {size} partitions, at most {verify.ENUMERATION_BUDGET}")
 
 
-# Largest n that enumerate, genfun and qstirling accept: the mak DP takes
-# about 3 s and a 62 MB process peak at n = 64 (2-core Xeon, Python 3.11),
+# Largest n that enumerate, genfun and qstirling accept: `genfun -n 64`
+# takes 2.8-3.1 s and a 64.5 MB process peak (2-core Xeon, Python 3.11),
 # q_stirling(64, k) for all k takes seconds, and counting a family (for
 # the budget) slows as n grows: all partitions of [1000] take minutes to
 # count.  Enumerations are held to verify.ENUMERATION_BUDGET as well.
@@ -133,7 +133,8 @@ def _per_k(args, all_ks: range, head: dict, rows) -> int:
     "results"), or a single integer (bare lines, JSON row merged into
     ``head``).  ``rows(ks)`` yields (JSON entry, text lines, ok) per k;
     the entry is read only with ``--json``, so text mode may leave it empty.
-    Refuses a bad ``-k``; 1 if any row is not ok, 0 otherwise."""
+    Refuses a ``-k`` that is not 'all' or a non-negative integer; a k
+    above n gives the zero row.  1 if any row is not ok, 0 otherwise."""
     if args.k == "all":
         ks, prefix = list(all_ks), "k={}: "
     else:
@@ -141,6 +142,7 @@ def _per_k(args, all_ks: range, head: dict, rows) -> int:
             ks, prefix = [int(args.k)], ""
         except ValueError:
             raise _Refused(f"-k takes an integer or 'all', got {args.k!r}") from None
+        _check_range("-k", ks[0])
     results, lines, ok = [], [], True
     for k, (entry, texts, row_ok) in zip(ks, rows(ks)):
         results.append(entry)

@@ -24,9 +24,11 @@ h+1".  Decoding the reflection of the encoding of p gives exactly
 
 Validation happens at the boundary only: the ``LabeledMotzkinPath``
 constructor, ``parse``, ``from_json_dict`` and ``reflect`` check every
-step.  ``encode`` builds its path from a trace profile, which is valid by
-construction, through the private ``LabeledMotzkinPath._trusted``.
-``decode`` trusts its path, checked or built valid when it was made.
+step.  ``encode`` builds its path from a trace profile, and
+``enumerate_paths`` from a recursion that only takes steps a valid path
+can take; both are valid by construction and go through the private
+``LabeledMotzkinPath._trusted``.  ``decode`` trusts its path, checked or
+built valid when it was made.
 
 Equal steps are shared: ``encode`` and ``enumerate_paths`` make each
 (kind, label) step once per call, and ``reflect`` reuses the first input
@@ -271,7 +273,7 @@ def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
     def rec(i: int, h: int) -> Iterator[LabeledMotzkinPath]:
         if i == n:
             if h == 0:
-                yield LabeledMotzkinPath(tuple(steps))
+                yield LabeledMotzkinPath._trusted(tuple(steps))
             return
         rem = n - i - 1  # steps after this one
         if h >= 1:

@@ -4,7 +4,10 @@ polynomial-time transfer DP for the distribution of mak.
 
 The DP (``mak_histograms``) packs each state's coefficient list into one
 int, a fixed-width limb per coefficient, so that its steps are big-int
-shifts and adds; the unpacked counts must sum to Bell(n), or it raises.
+shifts and adds; the states sit in one flat list indexed by (height,
+blocks opened), every step moves a row by a fixed index offset, and each
+final row is unpacked in one ``struct`` call while its limbs fit in 8
+bytes.  The unpacked counts must sum to Bell(n), or it raises.
 
 ``SUITES`` maps each suite name to its default range and to the list of
 its tasks, independent (cell function, args) pairs over the (n, k)
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import time
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator
@@ -158,6 +162,10 @@ def _limb_bytes(total: int) -> int:
     return (total.bit_length() + 7) // 8
 
 
+# Little-endian struct codes of the limb widths that one unpack call reads.
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
     """Coefficient lists of the mak distribution over the k-block
     partitions of [n], for every k, by a transfer DP over labeled
@@ -182,17 +190,36 @@ def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
     no coefficient ever exceeds Bell(n), and W = the bits of Bell(n)
     rounded up to whole bytes never carries.  A carry would lower the sum
     of the unpacked counts, which is checked against Bell(n).
+
+    The states live in one flat list, (h, opened) at index
+    h * (n + 2) + opened, so a closer, passant, singleton and opener move
+    a row by the fixed offsets -(n + 2), 0, +1 and n + 3; each step fills
+    a fresh list, reading only the cells that its prefixes can reach and
+    skipping the empty ones.  While Bell(n) fits in 8 bytes (n <= 25), W
+    is rounded up to 8, 16, 32 or 64 bits and each row is read with one
+    little-endian ``struct.unpack`` call; wider limbs are read as
+    ``int.from_bytes`` slices.
     """
     if n < 0:
         raise core.PartitionError("n must be non-negative")
     bell = bell_number(n)
     size = _limb_bytes(bell)
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()  # 1, 2, 4 or 8: one struct code
     width = 8 * size
-    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    # state (h, opened) at index h * stride + opened; h never exceeds n // 2
+    stride = n + 2
+    states = [0] * ((n // 2 + 2) * stride)
+    states[0] = 1
     for i in range(1, n + 1):
         rem = n - i
-        nxt: defaultdict[tuple[int, int], int] = defaultdict(int)
-        for (h, opened), row in states.items():
+        lift = rem * width
+        nxt = [0] * len(states)
+        # after i - 1 steps, h <= min(i - 1, n - i + 1) and opened <= i - 1
+        for at, row in enumerate(states[: min(i - 1, n - i + 1) * stride + i]):
+            if not row:
+                continue
+            h = at // stride
             if h:
                 # box = row * (1 + x + ... + x^(span-1)), grown by doubling
                 # to span = h along the bits of h below its leading one
@@ -203,23 +230,28 @@ def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
                     if bit == "1":
                         box = (box << width) + row
                         span += 1
-                nxt[(h - 1, opened)] += box << rem * width  # closer
+                nxt[at - stride] += box << lift  # closer
                 if h <= rem:
-                    nxt[(h, opened)] += box  # passant
+                    nxt[at] += box  # passant
             if h <= rem:
-                nxt[(h, opened + 1)] += row << rem * width  # singleton
+                nxt[at + 1] += row << lift  # singleton
             if h < rem:
-                nxt[(h + 1, opened + 1)] += row  # opener
+                nxt[at + stride + 1] += row  # opener
         states = nxt
     # Every surviving state ends at height 0; a row's top limb is its
     # highest non-zero coefficient, so none needs trimming.
+    code = _STRUCT_CODES.get(size)
     hists = {}
-    for k in sorted(k for _, k in states):
-        packed = states[(0, k)]
-        data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
-        hists[k] = [
-            int.from_bytes(data[j : j + size], "little") for j in range(0, len(data), size)
-        ]
+    for k, packed in enumerate(states[:stride]):
+        if packed:
+            count = -(-packed.bit_length() // width)
+            data = packed.to_bytes(count * size, "little")
+            if code:
+                hists[k] = list(struct.unpack(f"<{count}{code}", data))
+            else:
+                hists[k] = [
+                    int.from_bytes(data[j : j + size], "little") for j in range(0, len(data), size)
+                ]
     total = sum(map(sum, hists.values()))
     if total != bell:
         raise bijections.ConsistencyError(

@@ -118,6 +118,14 @@ def test_usage_refusals_print_one_exact_line(capsys):
         (["motzkin"], "give a partition to encode or --decode with a path"),
         (["verify", "all", "--n-max", "-1"], "--n-max must be non-negative"),
         (["genfun", "-n", "3", "-k", "x", "--threads", "0"], "--threads must be at least 1"),
+        # a negative -k is refused before any route runs, on every route
+        (["genfun", "-n", "3", "-k", "-1"], "-k must be non-negative"),
+        (["genfun", "-n", "3", "-k", "-1", "--json"], "-k must be non-negative"),
+        (["genfun", "-n", "3", "-k", "-1", "-s", "makp"], "-k must be non-negative"),
+        (["genfun", "-n", "3", "-k", "-1", "--ordered"], "-k must be non-negative"),
+        (["genfun", "-n", "3", "-k", "-1", "--compare", "qstirling"], "-k must be non-negative"),
+        (["qstirling", "-n", "3", "-k", "-1"], "-k must be non-negative"),
+        (["qstirling", "-n", "3", "-k", "-2", "--shifted"], "-k must be non-negative"),
     ):
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv

@@ -295,6 +295,30 @@ def test_packed_mak_dp_refuses_a_limb_that_overflows(monkeypatch):
         mak_histograms(12)
 
 
+@pytest.mark.parametrize("n, bits", [(12, 16), (30, 72)])
+def test_packed_mak_dp_catches_an_overflow_on_both_unpack_routes(monkeypatch, n, bits):
+    # One byte short: Bell(12) has 23 bits, so a 2-byte limb read by struct;
+    # Bell(30) has 80, so a 9-byte limb read by from_bytes, and the largest
+    # coefficient at n = 30 has 73 bits.
+    real = verify._limb_bytes
+    monkeypatch.setattr(verify, "_limb_bytes", lambda total: real(total) - 1)
+    with pytest.raises(bijections.ConsistencyError, match=f"a {bits}-bit coefficient overflowed"):
+        mak_histograms(n)
+
+
+def test_mak_dp_matches_q_stirling_and_bell_on_every_limb_width():
+    # Bell(n) needs 1 to 8 bytes for n <= 25 (struct limbs of 1, 2, 4 and 8
+    # bytes) and 9 at n = 26 (from_bytes slices).
+    widths = [verify._limb_bytes(bell_number(n)) for n in (0, 6, 7, 24, 25, 26)]
+    assert widths == [1, 1, 2, 8, 8, 9]
+    for n in range(27):
+        hists = mak_histograms(n)
+        assert sorted(hists) == [k for k in range(n + 1) if stirling2(n, k)], n
+        for k in range(n + 1):
+            assert QPolynomial(hists.get(k, [])) == q_stirling(n, k), (n, k)
+        assert sum(map(sum, hists.values())) == bell_number(n), n
+
+
 def test_mak_dp_return_contract():
     assert mak_histograms(0) == {0: [1]}
     with pytest.raises(PartitionError):
