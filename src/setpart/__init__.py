@@ -1,150 +1,19 @@
 """
-Exact combinatorics of set partitions: inversion-style statistics,
-statistic-exchanging bijections, labeled Motzkin path encodings,
-q-Stirling polynomials, and exhaustive verification suites.
+Exact combinatorics of set partitions.  Import names from the submodules;
+the package re-exports none of them, and after ``import setpart`` each
+submodule is an attribute (``setpart.core``):
+
+- ``setpart.core``: canonical and ordered partitions, parsing, element
+  classification, trace profiles, enumeration.
+- ``setpart.stats``: the coordinate counts and every named statistic.
+- ``setpart.bijections``: the involution ``phi`` with its certificate,
+  and the block-exchange maps ``phi_i``.
+- ``setpart.motzkin``: labeled Motzkin path encodings.
+- ``setpart.qseries``: exact polynomials in q and the q-Stirling numbers.
+- ``setpart.verify``: the exhaustive verification suites and the mak DP.
+- ``setpart.cli``: the command-line front end.
 """
 
-from . import motzkin
-from .bijections import (
-    ConsistencyError,
-    GammaRow,
-    PhiCertificate,
-    match_openers_closers,
-    phi,
-    phi_certificate,
-    phi_i,
-)
-from .core import (
-    ElementClassification,
-    Kind,
-    OrderedSetPartition,
-    ParseError,
-    Partition,
-    PartitionError,
-    ProfileError,
-    RgfWord,
-    SetPartition,
-    TraceProfile,
-    classify,
-    enumerate_ordered,
-    enumerate_partitions,
-    format_blocks,
-    parse_ordered,
-    parse_partition,
-    parse_rgf,
-    rebuild_from_profile,
-    trace_profile,
-)
-from .qseries import (
-    QPolynomial,
-    generating_function,
-    q_factorial,
-    q_int,
-    q_stirling,
-    shifted_stirling,
-)
-from .stats import (
-    ELEMENT_STATISTICS,
-    STATISTICS,
-    CoordKind,
-    binv,
-    bmaj,
-    coord_stat,
-    coord_sum,
-    coord_sums_all,
-    linv,
-    linv_closers,
-    linv_openers,
-    lmak,
-    lmakp,
-    mak,
-    mak_l,
-    mak_ls,
-    makp,
-    nrinv,
-    resolve_statistic,
-    rinv,
-    rinv_closers,
-    stat_i,
-)
-from .verify import (
-    Failure,
-    SUITE_NAMES,
-    VerificationReport,
-    bell_number,
-    mak_histograms,
-    mak_polynomial,
-    run_all,
-    run_suite,
-    stirling2,
-)
+from . import bijections, core, motzkin, qseries, stats, verify  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CoordKind",
-    "ConsistencyError",
-    "ELEMENT_STATISTICS",
-    "ElementClassification",
-    "Failure",
-    "GammaRow",
-    "Kind",
-    "OrderedSetPartition",
-    "ParseError",
-    "Partition",
-    "PartitionError",
-    "PhiCertificate",
-    "ProfileError",
-    "QPolynomial",
-    "RgfWord",
-    "STATISTICS",
-    "SUITE_NAMES",
-    "SetPartition",
-    "TraceProfile",
-    "VerificationReport",
-    "bell_number",
-    "binv",
-    "bmaj",
-    "classify",
-    "coord_stat",
-    "coord_sum",
-    "coord_sums_all",
-    "enumerate_ordered",
-    "enumerate_partitions",
-    "format_blocks",
-    "generating_function",
-    "linv",
-    "linv_closers",
-    "linv_openers",
-    "lmak",
-    "lmakp",
-    "mak",
-    "mak_histograms",
-    "mak_l",
-    "mak_ls",
-    "mak_polynomial",
-    "makp",
-    "match_openers_closers",
-    "motzkin",
-    "nrinv",
-    "parse_ordered",
-    "parse_partition",
-    "parse_rgf",
-    "phi",
-    "phi_certificate",
-    "phi_i",
-    "q_factorial",
-    "q_int",
-    "q_stirling",
-    "rebuild_from_profile",
-    "resolve_statistic",
-    "rinv",
-    "rinv_closers",
-    "run_all",
-    "run_suite",
-    "shifted_stirling",
-    "stat_i",
-    "stirling2",
-    "trace_profile",
-    "__version__",
-]

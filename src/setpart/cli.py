@@ -8,11 +8,12 @@ and only spreads verification suites over processes.  Exit codes: 0 on
 success or a verified identity, 1 on a domain error or a failed
 verification, 2 on usage errors.
 
-Text outputs round-trip: enumerate and the bijection commands emit the
-partition grammar, motzkin emits the compact path text, genfun and
-qstirling emit the polynomial text format.  Wall-clock timing goes to
-stderr (text mode) or a dedicated JSON field, so stdout is independent
-of ``--threads``.
+Partition and path outputs round-trip: enumerate and the bijection
+commands emit the partition grammar that every partition argument
+accepts, and motzkin emits the compact path text that ``--decode``
+accepts.  genfun and qstirling emit the polynomial text format, which
+nothing reads back.  Wall-clock timing goes to stderr (text mode) or a
+dedicated JSON field, so stdout is independent of ``--threads``.
 """
 
 from __future__ import annotations
@@ -133,8 +134,11 @@ def _per_k(args, all_ks: range, head: dict, rows) -> int:
     "results"), or a single integer (bare lines, JSON row merged into
     ``head``).  ``rows(ks)`` yields (JSON entry, text lines, ok) per k;
     the entry is read only with ``--json``, so text mode may leave it empty.
-    Refuses a ``-k`` that is not 'all' or a non-negative integer; a k
-    above n gives the zero row.  1 if any row is not ok, 0 otherwise."""
+    Refuses a ``-k`` that is not 'all' or a non-negative integer.  A k
+    above n is left to ``rows``: genfun and plain qstirling give the zero
+    row, and ``qstirling --shifted`` exits 1, because
+    ``shifted_stirling`` takes only 0 <= k <= n.  1 if any row is not
+    ok, 0 otherwise."""
     if args.k == "all":
         ks, prefix = list(all_ks), "k={}: "
     else:

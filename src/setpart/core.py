@@ -47,8 +47,9 @@ cached ``blocks`` view (``_memo``); they live exactly as long as the
 object and take no part in equality or hashing.
 
 Validation happens at the boundary only: the public constructors
-(``SetPartition(word)``, ``from_rgf``, ``from_blocks``, ``RgfWord``,
-``OrderedSetPartition``) and the parsers check everything they are given.
+(``SetPartition(word)``, ``SetPartition.from_blocks`` and
+``OrderedSetPartition(blocks)``) and the parsers check everything they
+are given.
 Words that this module builds valid by construction (enumeration,
 ``from_blocks`` after its block check, ``rebuild_from_profile``) go
 through the private ``SetPartition._trusted`` without a second check,
@@ -130,31 +131,6 @@ def _check_rgf(letters: Sequence[int]) -> None:
             top = letter
 
 
-@dataclass(frozen=True)
-class RgfWord:
-    """A restricted growth word: w_1 = 1 and w_i <= max(w_1..w_{i-1}) + 1."""
-
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        _check_rgf(self.letters)
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    @property
-    def k(self) -> int:
-        return max(self.letters, default=0)
-
-    def text(self) -> str:
-        return " ".join(str(x) for x in self.letters)
-
-    def __str__(self) -> str:
-        return self.text()
-
-
 def _blocks_from_word(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     k = max(word, default=0)
     blocks: list[list[int]] = [[] for _ in range(k)]
@@ -204,7 +180,7 @@ class SetPartition:
 
     >>> SetPartition.from_blocks([[2, 1], [3]]).text()
     '1,2/3'
-    >>> SetPartition.from_rgf([1, 2, 1]).blocks
+    >>> SetPartition([1, 2, 1]).blocks
     ((1, 3), (2,))
     """
 
@@ -220,11 +196,6 @@ class SetPartition:
         p = object.__new__(cls)
         object.__setattr__(p, "word", word)
         return p
-
-    @classmethod
-    def from_rgf(cls, word: RgfWord | Sequence[int]) -> "SetPartition":
-        letters = word.letters if isinstance(word, RgfWord) else tuple(word)
-        return cls(letters)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
@@ -243,13 +214,6 @@ class SetPartition:
     @_cached
     def k(self) -> int:
         return max(self.word, default=0)
-
-    def to_rgf(self) -> RgfWord:
-        return RgfWord(self.word)
-
-    def letter(self, i: int) -> int:
-        """Block index of element i (1-based)."""
-        return self.word[i - 1]
 
     def text(self) -> str:
         return format_blocks(self.blocks)
@@ -280,10 +244,6 @@ class OrderedSetPartition:
         object.__setattr__(p, "blocks", blocks)
         return p
 
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "OrderedSetPartition":
-        return cls(tuple(tuple(b) for b in blocks))
-
     @_cached
     def word(self) -> tuple[int, ...]:
         return _word_from_blocks(self.blocks)
@@ -295,9 +255,6 @@ class OrderedSetPartition:
     @property
     def k(self) -> int:
         return len(self.blocks)
-
-    def letter(self, i: int) -> int:
-        return self.word[i - 1]
 
     def canonical(self) -> SetPartition:
         return SetPartition.from_blocks(self.blocks)
@@ -351,7 +308,7 @@ def parse_ordered(text: str) -> OrderedSetPartition:
     """Parse the block grammar keeping the written block order."""
     blocks = _parse_blocks(text)
     try:
-        return OrderedSetPartition.from_blocks(blocks)
+        return OrderedSetPartition(blocks)
     except PartitionError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -367,17 +324,6 @@ def parse_partition(text: str) -> SetPartition:
         return SetPartition.from_blocks(blocks)
     except PartitionError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def parse_rgf(text: str) -> RgfWord:
-    """Parse a space-separated restricted growth word."""
-    letters = []
-    for token in re.finditer(r"\S+", text):
-        try:
-            letters.append(int(token.group()))
-        except ValueError as exc:
-            raise ParseError(f"not an integer: {exc}", token.start()) from exc
-    return RgfWord(tuple(letters))
 
 
 @dataclass(frozen=True)

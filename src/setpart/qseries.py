@@ -11,20 +11,20 @@ with S_q(n, k) = delta_{n,k} whenever n = 0 or k = 0, where
 [k]_q = 1 + q + ... + q^(k-1).  Its lowest-degree term is q^binom(k,2),
 so dividing by that power (``shifted_stirling``) stays polynomial.
 
-Text format: ascending exponents joined by `` + ``, zero terms omitted,
-unit coefficients omitted, e.g. ``3*q + 3*q^2 + q^3``.  JSON format:
+Two output formats, written and never read back: text, with ascending
+exponents joined by `` + ``, zero terms omitted and unit coefficients
+omitted, e.g. ``3*q + 3*q^2 + q^3``, and JSON,
 ``{"coeffs": {"1": 3, "2": 3, "3": 1}}``.  Internally coefficients live
 in a dense tuple; the sparse mapping appears only at the boundary.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Iterable, Mapping
 
 from . import core
 
-# Largest exponent accepted from a sparse mapping (text, JSON): the
+# Largest exponent accepted from a sparse mapping (``from_dict``): the
 # coefficients are stored densely, one entry per exponent.
 MAX_EXPONENT = 10**6
 
@@ -34,8 +34,8 @@ class QPolynomial:
 
     >>> (q_int(2) * q_int(3)).text()
     '1 + 2*q + 2*q^2 + q^3'
-    >>> QPolynomial.parse("3*q + q^3").coefficient(3)
-    1
+    >>> QPolynomial.from_dict({1: 3, 3: 1}).text()
+    '3*q + q^3'
     """
 
     __slots__ = ("_coeffs",)
@@ -58,12 +58,6 @@ class QPolynomial:
     @classmethod
     def one(cls) -> "QPolynomial":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "QPolynomial":
-        if exponent < 0:
-            raise ValueError(f"negative exponent {exponent}")
-        return cls((0,) * exponent + (coefficient,))
 
     @classmethod
     def from_dict(cls, mapping: Mapping[int, int]) -> "QPolynomial":
@@ -100,12 +94,6 @@ class QPolynomial:
 
     def to_dict(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self._coeffs) if c}
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- arithmetic ----------------------------------------------------
 
@@ -175,37 +163,8 @@ class QPolynomial:
             ]
         )
 
-    _TERM = re.compile(
-        r"^\s*(?:(?P<const>-?\d+)|(?:(?P<coef>-?\d+)\s*\*\s*)?q(?:\^(?P<exp>\d+))?)\s*$"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "QPolynomial":
-        stripped = text.strip()
-        if not stripped:
-            raise ValueError("empty polynomial text")
-        if stripped == "0":
-            return cls.zero()
-        coeffs: dict[int, int] = {}
-        for term in stripped.split("+"):
-            m = cls._TERM.match(term)
-            if m is None:
-                raise ValueError(f"cannot parse polynomial term {term.strip()!r}")
-            if m.group("const") is not None:
-                e, c = 0, int(m.group("const"))
-            else:
-                c = int(m.group("coef")) if m.group("coef") else 1
-                e = int(m.group("exp")) if m.group("exp") else 1
-            coeffs[e] = coeffs.get(e, 0) + c
-        return cls.from_dict(coeffs)
-
     def to_json_dict(self) -> dict:
         return {"coeffs": {str(e): c for e, c in self.to_dict().items()}}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "QPolynomial":
-        coeffs = data.get("coeffs", {})
-        return cls.from_dict({int(e): int(c) for e, c in coeffs.items()})
 
     def __str__(self) -> str:
         return self.text()
@@ -258,8 +217,6 @@ def q_stirling(n: int, k: int) -> QPolynomial:
                 continue
             if m == 0 or j == 0:
                 val = QPolynomial.one() if m == j else QPolynomial.zero()
-            elif j > m:
-                val = QPolynomial.zero()
             else:
                 left = _STIRLING_CACHE.get((m - 1, j - 1), QPolynomial.zero())
                 right = _STIRLING_CACHE.get((m - 1, j), QPolynomial.zero())

@@ -47,6 +47,7 @@ Suite names are fixed CLI vocabulary:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -112,8 +113,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+@functools.cache
 def bell_number(n: int) -> int:
-    """Bell numbers by the additive triangle (independent oracle)."""
+    """Bell numbers by the additive triangle (independent oracle),
+    memoized: ``mak_histograms`` checks its counts against one per call."""
     row = [1]
     for _ in range(n):
         new = [row[-1]]
@@ -259,12 +262,6 @@ def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
             f"a {width}-bit coefficient overflowed"
         )
     return hists
-
-
-def mak_polynomial(n: int, k: int, threads: int = 1) -> QPolynomial:
-    """The mak generating function over the k-block partitions of [n].
-    ``threads`` is ignored, as in ``mak_histograms``."""
-    return QPolynomial(mak_histograms(n, threads=threads).get(k, []))
 
 
 # ----------------------------------------------------------------------
@@ -582,8 +579,6 @@ SUITES: dict[str, tuple[int, Callable[[int], list[Task]]]] = {
     ),
     "euler-mahonian": (7, _cell_nk(_euler_cell)),
 }
-
-SUITE_DEFAULT_N_MAX: dict[str, int] = {name: n_max for name, (n_max, _) in SUITES.items()}
 
 SUITE_NAMES: tuple[str, ...] = tuple(SUITES)
 

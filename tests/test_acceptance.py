@@ -59,7 +59,7 @@ def test_c01_example_fidelity():
     assert cls.closers == (2, 6, 8, 9)
     assert cls.passants == (4, 7)
     assert cls.singletons == (2,)
-    assert p.to_rgf().letters == (1, 2, 3, 1, 4, 4, 3, 1, 3)
+    assert p.word == (1, 2, 3, 1, 4, 4, 3, 1, 3)
 
     # the eight coordinate rows and the four aggregate statistics
     p2 = parse_partition("1,4,8/2,9/3,7/5,6")

@@ -12,7 +12,6 @@ from setpart.core import (
     ParseError,
     PartitionError,
     ProfileError,
-    RgfWord,
     SetPartition,
     classify,
     enumerate_ordered,
@@ -20,7 +19,6 @@ from setpart.core import (
     format_blocks,
     parse_ordered,
     parse_partition,
-    parse_rgf,
     rebuild_from_profile,
     trace_profile,
     _check_rgf,
@@ -96,7 +94,7 @@ def test_parse_fixture():
     assert p.n == 9
     assert p.k == 4
     assert p.text() == EX_TEXT
-    assert p.letter(7) == 3
+    assert p.word[6] == 3
 
 
 def test_parse_normalizes_block_order_and_whitespace():
@@ -181,14 +179,7 @@ def test_restricted_growth_validation():
     with pytest.raises(PartitionError, match="index 2"):
         SetPartition((1, 3))
     with pytest.raises(PartitionError, match="index 1"):
-        RgfWord((2,))
-    assert parse_rgf("1 2 3 1 4 4 3 1 3").letters == EX_WORD
-    with pytest.raises(ParseError) as err:
-        parse_rgf("1 two")
-    assert err.value.position == 2
-    assert str(err.value) == (
-        "not an integer: invalid literal for int() with base 10: 'two' (position 2)"
-    )
+        SetPartition((2,))
 
 
 def test_empty_partition():
@@ -410,9 +401,8 @@ def test_ordered_partitions():
 
 @given(rgf_words())
 def test_word_and_block_views_round_trip(word):
-    p = SetPartition.from_rgf(word)
+    p = SetPartition(word)
     assert p.word == word
-    assert p.to_rgf().letters == word
     assert SetPartition.from_blocks(p.blocks) == p
     assert parse_partition(p.text()) == p
     minima = [b[0] for b in p.blocks]
@@ -422,7 +412,7 @@ def test_word_and_block_views_round_trip(word):
 
 @given(rgf_words())
 def test_classification_partitions_the_ground_set(word):
-    p = SetPartition.from_rgf(word)
+    p = SetPartition(word)
     cls = classify(p)
     singles = set(cls.singletons)
     assert singles <= set(cls.openers) and singles <= set(cls.closers)
@@ -441,7 +431,7 @@ def test_classification_partitions_the_ground_set(word):
 @given(rgf_words(max_n=7))
 @_with_seeded_words
 def test_trace_matches_literal_traces(word):
-    p = SetPartition.from_rgf(word)
+    p = SetPartition(word)
     profile = trace_profile(p)
     ls, gammas = oracles.l_gamma(p.blocks)
     assert list(profile.l) == ls

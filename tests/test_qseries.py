@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -32,10 +33,8 @@ def test_construction_and_views():
     assert QPolynomial.zero().degree == -1
     assert QPolynomial.zero().text() == "0"
     assert QPolynomial.one().text() == "1"
-    assert QPolynomial.monomial(4, 2).text() == "2*q^4"
+    assert QPolynomial((0, 0, 0, 0, 2)).text() == "2*q^4"
     assert QPolynomial.from_dict({3: 1, 1: 3, 2: 3}) == p
-    with pytest.raises(ValueError):
-        QPolynomial.monomial(-1)
     with pytest.raises(ValueError):
         QPolynomial.from_dict({-2: 1})
     with pytest.raises(TypeError, match="coefficient 1.5 is not an int"):
@@ -51,27 +50,20 @@ def test_construction_and_views():
 def test_text_and_json_refuse_huge_exponents():
     # a dense list with a billion entries would be allocated otherwise
     with pytest.raises(ValueError, match="exponent 1000000000 exceeds"):
-        QPolynomial.parse("q^1000000000")
-    with pytest.raises(ValueError, match="exponent 1000000000 exceeds"):
-        QPolynomial.from_json_dict({"coeffs": {"1000000000": 1}})
-    assert QPolynomial.parse("q^1000000").degree == 10**6
+        QPolynomial.from_dict({10**9: 1})
+    assert QPolynomial.from_dict({10**6: 1}).degree == 10**6
 
 
 def test_text_forms():
     assert QPolynomial((0, -1, 2)).text() == "-q + 2*q^2"
     assert QPolynomial((5,)).text() == "5"
-    assert QPolynomial.parse("3*q + q^3").to_dict() == {1: 3, 3: 1}
-    assert QPolynomial.parse("0") == QPolynomial.zero()
-    assert QPolynomial.parse("q^2 + q^2") == QPolynomial((0, 0, 2))
-    with pytest.raises(ValueError):
-        QPolynomial.parse("")
-    with pytest.raises(ValueError):
-        QPolynomial.parse("q + bogus")
+    assert QPolynomial((0, 3, 0, 1)).text() == "3*q + q^3"
 
 
 def test_json_round_trip():
     p = q_stirling(5, 3)
-    assert QPolynomial.from_json_dict(p.to_json_dict()) == p
+    coeffs = json.loads(json.dumps(p.to_json_dict()))["coeffs"]
+    assert QPolynomial.from_dict({int(e): c for e, c in coeffs.items()}) == p
     assert p.to_json_dict() == {"coeffs": {str(e): c for e, c in p.to_dict().items()}}
 
 
@@ -82,7 +74,7 @@ def test_q_int_and_factorial():
     assert q_factorial(0) == QPolynomial.one()
     assert q_factorial(3).text() == "1 + 2*q + 2*q^2 + q^3"
     for k in range(7):
-        assert q_factorial(k).evaluate(1) == math.factorial(k)
+        assert sum(q_factorial(k).coefficients()) == math.factorial(k)
     with pytest.raises(ValueError):
         q_int(-1)
     with pytest.raises(ValueError):
@@ -95,7 +87,7 @@ def test_q_stirling_fixtures():
     assert q_stirling(2, 3).is_zero
     assert q_stirling(4, 2).text() == "3*q + 3*q^2 + q^3"
     for k in range(6):
-        assert q_stirling(k, k) == QPolynomial.monomial(k * (k - 1) // 2)
+        assert q_stirling(k, k) == QPolynomial.one().shift(k * (k - 1) // 2)
     with pytest.raises(ValueError):
         q_stirling(-1, 0)
 
@@ -109,7 +101,7 @@ def test_q_stirling_matches_literal_recurrence():
 def test_q_stirling_counts_at_one():
     for n in range(10):
         for k in range(n + 1):
-            assert q_stirling(n, k).evaluate(1) == oracles.stirling(n, k)
+            assert sum(q_stirling(n, k).coefficients()) == oracles.stirling(n, k)
 
 
 def test_shifted_stirling():
@@ -164,9 +156,3 @@ def test_ring_laws(a, b, c):
 @given(polys, st.integers(0, 5))
 def test_shift_divide_inverse(a, d):
     assert a.shift(d).divide_by_q_power(d) == a
-
-
-@given(st.lists(st.integers(0, 9), max_size=8))
-def test_text_round_trip_on_nonnegative(coeffs):
-    p = QPolynomial(coeffs)
-    assert QPolynomial.parse(p.text()) == p

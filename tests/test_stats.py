@@ -250,7 +250,7 @@ def test_linv_rinv_aggregates():
 
 @given(rgf_words(max_n=7))
 def test_coordinates_match_literal_definitions(word):
-    p = SetPartition.from_rgf(word)
+    p = SetPartition(word)
     sums = coord_sums_all(p)
     for kind in CoordKind:
         assert coord_sum(p, kind) == oracles.coord_sum(
@@ -324,7 +324,7 @@ def test_kernel_matches_literal_definitions_beyond_one_machine_word():
         assert p.k >= 70
         shuffled = list(p.blocks)
         rng.shuffle(shuffled)
-        for q in (p, OrderedSetPartition.from_blocks(shuffled)):
+        for q in (p, OrderedSetPartition(shuffled)):
             sums = coord_sums_all(q)
             for kind in CoordKind:
                 assert sums[kind] == oracles.coord_sum(

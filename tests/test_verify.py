@@ -10,14 +10,13 @@ from setpart.qseries import QPolynomial, generating_function, q_stirling
 from setpart.core import PartitionError, enumerate_partitions
 from setpart.verify import (
     ENUMERATION_BUDGET,
-    SUITE_DEFAULT_N_MAX,
     SUITE_NAMES,
+    SUITES,
     Failure,
     VerificationReport,
     bell_number,
     family_size,
     mak_histograms,
-    mak_polynomial,
     run_all,
     run_suite,
     stirling2,
@@ -35,9 +34,9 @@ def test_counting_helpers_match_literal_recurrences():
 
 
 def test_suite_names_and_defaults():
-    assert set(SUITE_NAMES) == set(SUITE_DEFAULT_N_MAX)
+    assert SUITE_NAMES == tuple(SUITES)
     assert len(SUITE_NAMES) == 10
-    for n_max in SUITE_DEFAULT_N_MAX.values():
+    for n_max, _ in SUITES.values():
         assert n_max >= 5
 
 
@@ -328,7 +327,6 @@ def test_mak_dp_return_contract():
     assert all(row and row[-1] for row in hists.values())
     for threads in (0, 2, 64):
         assert mak_histograms(10, threads=threads) == hists
-        assert mak_polynomial(10, 4, threads=threads) == QPolynomial(hists[4])
 
 
 def test_worker_count_is_clamped():
@@ -355,7 +353,7 @@ def test_family_size_counts_without_enumerating():
 
 def test_every_default_range_fits_the_budget():
     for name in SUITE_NAMES:
-        assert suite_size(name) == suite_size(name, SUITE_DEFAULT_N_MAX[name])
+        assert suite_size(name) == suite_size(name, SUITES[name][0])
         assert suite_size(name) <= ENUMERATION_BUDGET
     assert sum(suite_size(name) for name in SUITE_NAMES) <= ENUMERATION_BUDGET
     assert suite_size("theorem2", 14) > ENUMERATION_BUDGET
@@ -385,6 +383,6 @@ def test_suite_size_is_what_the_suite_builds(name, monkeypatch):
     assert built == suite_size(name, 5) > 0
 
 
-def test_mak_polynomial():
-    assert mak_polynomial(4, 2) == q_stirling(4, 2)
-    assert mak_polynomial(3, 7).is_zero
+def test_mak_histograms_row_k_is_q_stirling():
+    assert QPolynomial(mak_histograms(4).get(2, [])) == q_stirling(4, 2)
+    assert QPolynomial(mak_histograms(3).get(7, [])).is_zero
