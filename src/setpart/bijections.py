@@ -12,7 +12,7 @@ the left, an incoming closer sealing its block, and ``classify`` must
 find in the image's word the roles that this pass wrote.  The same pass
 files every element into its certificate row (the image's four role
 rows, the source's closer and passant rows), so no row is scanned for
-afterwards.
+afterwards.  The certificate and its rows are named tuples.
 
 The level matching is load-bearing, not a tie-break.  Opener a sits at
 trace level l_a, its matched closer at level l_a + 1, and the mirrored
@@ -32,7 +32,7 @@ that the two level sums agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     CLOSER,
@@ -57,8 +57,7 @@ class ConsistencyError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class GammaRow:
+class GammaRow(NamedTuple):
     """A sorted element row paired with its gamma labels."""
 
     values: tuple[int, ...]
@@ -68,8 +67,7 @@ class GammaRow:
         return {"values": list(self.values), "gammas": list(self.gammas)}
 
 
-@dataclass(frozen=True)
-class PhiCertificate:
+class PhiCertificate(NamedTuple):
     """Source, image, and the four gamma matrices behind one phi step."""
 
     source: SetPartition
@@ -144,14 +142,9 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
         found.passants,
     ):
         raise ConsistencyError("image classification does not mirror the source")
-    return PhiCertificate(
-        source=p,
-        image=image,
-        source_f=GammaRow(tuple(reversed(source_f)), tuple(reversed(source_f_g))),
-        source_p=GammaRow(tuple(reversed(source_p)), tuple(reversed(passant_g))),
-        image_f=image_f,
-        image_p=image_p,
-    )
+    source_f = GammaRow(tuple(reversed(source_f)), tuple(reversed(source_f_g)))
+    source_p = GammaRow(tuple(reversed(source_p)), tuple(reversed(passant_g)))
+    return PhiCertificate(p, image, source_f, source_p, image_f, image_p)
 
 
 def phi(p: SetPartition) -> SetPartition:

@@ -135,10 +135,8 @@ def _per_k(args, all_ks: range, head: dict, rows) -> int:
     ``head``).  ``rows(ks)`` yields (JSON entry, text lines, ok) per k;
     the entry is read only with ``--json``, so text mode may leave it empty.
     Refuses a ``-k`` that is not 'all' or a non-negative integer.  A k
-    above n is left to ``rows``: genfun and plain qstirling give the zero
-    row, and ``qstirling --shifted`` exits 1, because
-    ``shifted_stirling`` takes only 0 <= k <= n.  1 if any row is not
-    ok, 0 otherwise."""
+    above n is left to ``rows``, and every route gives the zero row.  1
+    if any row is not ok, 0 otherwise."""
     if args.k == "all":
         ks, prefix = list(all_ks), "k={}: "
     else:
@@ -165,7 +163,7 @@ def cmd_genfun(args) -> int:
 
     def genfun_for(k: int, hists: dict[int, list[int]] | None) -> QPolynomial:
         if hists is not None:
-            return QPolynomial(hists.get(k, []))
+            return QPolynomial._trusted(hists.get(k, ()))
         fn = stats.resolve_statistic(args.stat, l=args.l)
         family = (
             core.enumerate_ordered(n, k) if args.ordered else core.enumerate_partitions(n, k)

@@ -44,17 +44,20 @@ Partitions are immutable, so each object computes its classification
 and its trace profile (and a canonical partition its block count ``k``)
 once, on first request, and keeps them in its instance dict next to the
 cached ``blocks`` view (``_memo``); they live exactly as long as the
-object and take no part in equality or hashing.
+object and take no part in equality or hashing; both are named tuples.
 
 Validation happens at the boundary only: the public constructors
 (``SetPartition(word)``, ``SetPartition.from_blocks`` and
 ``OrderedSetPartition(blocks)``) and the parsers check everything they
-are given.
-Words that this module builds valid by construction (enumeration,
-``from_blocks`` after its block check, ``rebuild_from_profile``) go
-through the private ``SetPartition._trusted`` without a second check,
-and so do the block permutations of ``enumerate_ordered``
-(``OrderedSetPartition._trusted``).
+are given.  The block check reads the blocks in order, each one sorted,
+reports the first defect it meets, names the smallest missing element
+last and returns every element's block position.  ``from_blocks``
+numbers those positions in order of first occurrence, which gives the
+word; ``text`` prints the blocks from the word.  Words
+that this module builds valid (enumeration, ``from_blocks``,
+``rebuild_from_profile``) go through the private ``SetPartition._trusted``
+without a second check, and so do the block permutations of
+``enumerate_ordered`` (``OrderedSetPartition._trusted``).
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import itertools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 _T = TypeVar("_T")
 
@@ -147,7 +150,10 @@ def _word_from_blocks(blocks: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _validate_blocks(blocks: Sequence[Iterable[int]]) -> list[list[int]]:
+def _validate_blocks(blocks: Sequence[Iterable[int]]) -> tuple[list[list[int]], list[int]]:
+    """The sorted blocks and each element's 1-based block position, from one
+    pass over the blocks in order that reports the first defect it meets
+    and names the smallest missing element last."""
     cleaned = []
     seen: dict[int, int] = {}
     for pos, block in enumerate(blocks, start=1):
@@ -165,10 +171,13 @@ def _validate_blocks(blocks: Sequence[Iterable[int]]) -> list[list[int]]:
             seen[x] = pos
         cleaned.append(items)
     n = len(seen)
-    for x in range(1, n + 1):
-        if x not in seen:
-            raise PartitionError(f"element {x} is missing (ground set has {n} elements)")
-    return cleaned
+    try:
+        positions = list(map(seen.__getitem__, range(1, n + 1)))
+    except KeyError as exc:
+        (missing,) = exc.args
+        message = f"element {missing} is missing (ground set has {n} elements)"
+        raise PartitionError(message) from None
+    return cleaned, positions
 
 
 @dataclass(frozen=True)
@@ -199,9 +208,10 @@ class SetPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
-        cleaned = _validate_blocks(blocks)
-        cleaned.sort(key=lambda b: b[0])
-        return cls._trusted(_word_from_blocks(cleaned))
+        _, positions = _validate_blocks(blocks)
+        # the restricted growth word numbers the blocks in order of first occurrence
+        label = dict(zip(dict.fromkeys(positions), itertools.count(1)))
+        return cls._trusted(tuple(map(label.__getitem__, positions)))
 
     @_cached
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -216,7 +226,10 @@ class SetPartition:
         return max(self.word, default=0)
 
     def text(self) -> str:
-        return format_blocks(self.blocks)
+        parts: list[list[str]] = [[] for _ in range(self.k)]
+        for i, letter in enumerate(self.word, start=1):
+            parts[letter - 1].append(str(i))
+        return "/".join(map(",".join, parts))
 
     def __str__(self) -> str:
         return self.text()
@@ -233,7 +246,7 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        cleaned = _validate_blocks(self.blocks)
+        cleaned, _ = _validate_blocks(self.blocks)
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in cleaned))
 
     @classmethod
@@ -326,8 +339,7 @@ def parse_partition(text: str) -> SetPartition:
         raise ParseError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class ElementClassification:
+class ElementClassification(NamedTuple):
     """Openers, closers, passants and singletons of a partition, each
     ascending; the openers and closers include the singletons."""
 
@@ -379,8 +391,7 @@ def _classify(p: Partition) -> ElementClassification:
     return ElementClassification(*map(tuple, roles))
 
 
-@dataclass(frozen=True)
-class TraceProfile:
+class TraceProfile(NamedTuple):
     """Per-element kinds with the l and gamma sequences."""
 
     kinds: tuple[Kind, ...]
@@ -427,7 +438,7 @@ def _trace_pass(p: SetPartition) -> TraceProfile:
                 del incomplete[pos]
             else:
                 kinds.append(PASSANT)
-    return TraceProfile(kinds=tuple(kinds), l=tuple(ls), gamma=tuple(gammas))
+    return TraceProfile(tuple(kinds), tuple(ls), tuple(gammas))
 
 
 def rebuild_from_profile(kinds: Sequence[Kind], gamma: Sequence[int]) -> SetPartition:

@@ -29,6 +29,15 @@ from . import core
 MAX_EXPONENT = 10**6
 
 
+def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
+    """``coeffs`` as a tuple without trailing zeros."""
+    dense = tuple(coeffs)  # tuple() and a full slice of a tuple do not copy it
+    end = len(dense)
+    while end and dense[end - 1] == 0:
+        end -= 1
+    return dense[:end]
+
+
 class QPolynomial:
     """Immutable polynomial in q with int coefficients.
 
@@ -41,15 +50,18 @@ class QPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        dense = tuple(coeffs)  # tuple() and a full slice of a tuple do not copy it
-        end = len(dense)
-        while end and dense[end - 1] == 0:
-            end -= 1
-        dense = dense[:end]
+        dense = _trim(coeffs)
         for c in dense:
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an int")
         self._coeffs: tuple[int, ...] = dense
+
+    @classmethod
+    def _trusted(cls, coeffs: Iterable[int]) -> "QPolynomial":
+        """The polynomial of ``coeffs``, ints by the caller's construction."""
+        p = object.__new__(cls)
+        p._coeffs = _trim(coeffs)
+        return p
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -106,11 +118,11 @@ class QPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPolynomial(out)
+        return QPolynomial._trusted(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPolynomial(c * other for c in self._coeffs)
+            return QPolynomial._trusted([c * other for c in self._coeffs])
         if not isinstance(other, QPolynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -121,7 +133,7 @@ class QPolynomial:
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return QPolynomial(out)
+        return QPolynomial._trusted(out)
 
     __rmul__ = __mul__
 
@@ -131,7 +143,7 @@ class QPolynomial:
             raise ValueError("shift exponent must be non-negative")
         if self.is_zero:
             return self
-        return QPolynomial((0,) * d + self._coeffs)
+        return QPolynomial._trusted((0,) * d + self._coeffs)
 
     def divide_by_q_power(self, d: int) -> "QPolynomial":
         """Exact division by q^d; raises if a low coefficient is non-zero."""
@@ -142,7 +154,7 @@ class QPolynomial:
         if any(self._coeffs[:d]):
             bad = next(e for e, c in enumerate(self._coeffs) if c)
             raise ValueError(f"not divisible by q^{d}: non-zero coefficient at q^{bad}")
-        return QPolynomial(self._coeffs[d:])
+        return QPolynomial._trusted(self._coeffs[d:])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPolynomial) and self._coeffs == other._coeffs
@@ -185,7 +197,7 @@ def q_int(k: int) -> QPolynomial:
     """[k]_q = 1 + q + ... + q^(k-1), with [0]_q = 0."""
     if k < 0:
         raise ValueError("q-integer of a negative number")
-    return QPolynomial((1,) * k)
+    return QPolynomial._trusted((1,) * k)
 
 
 def q_factorial(k: int) -> QPolynomial:
@@ -226,9 +238,8 @@ def q_stirling(n: int, k: int) -> QPolynomial:
 
 
 def shifted_stirling(n: int, k: int) -> QPolynomial:
-    """S_q(n, k) divided by its guaranteed factor q^binom(k,2)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    """S_q(n, k) divided by its guaranteed factor q^binom(k,2); zero for
+    k > n."""
     return q_stirling(n, k).divide_by_q_power(k * (k - 1) // 2)
 
 

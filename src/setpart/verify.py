@@ -449,7 +449,7 @@ def _theorem3_cell(n: int, k: int) -> CellResult:
     if n and k:
         # the enumerated mak distribution at n against the DP's at n - 1
         below = mak_histograms(n - 1)
-        fewer, same = (QPolynomial(below.get(j, [])) for j in (k - 1, k))
+        fewer, same = (QPolynomial._trusted(below.get(j, ())) for j in (k - 1, k))
         left, right = QPolynomial.from_dict(hist["mak"]), fewer.shift(k - 1) + q_int(k) * same
         if left != right:
             failures.append((f"n={n} k={k} recurrence", left.text(), right.text()))

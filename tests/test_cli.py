@@ -339,9 +339,11 @@ def test_qstirling_rejects_n_above_the_cap(capsys):
 
 
 def test_qstirling_shifted_out_of_range(capsys):
-    code, _, err = run(["qstirling", "-n", "2", "-k", "5", "--shifted"], capsys)
-    assert code == 1
-    assert err.startswith("error:")
+    # S_q(2, 5) = 0 is divisible by any power of q, so the shifted row is 0 too
+    assert run(["qstirling", "-n", "2", "-k", "5", "--shifted"], capsys) == (0, "0\n", "")
+    code, out, err = run(["qstirling", "-n", "2", "-k", "5", "--shifted", "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 2, "shifted": True, "k": 5, "polynomial": {"coeffs": {}}}
 
 
 # ----------------------------------------------------------------------
@@ -500,6 +502,52 @@ def test_phi_and_motzkin_stdout_equals_the_golden_file(capsys):
 
     expected = (GOLDEN / "phi_motzkin.txt").read_text()
     assert phi_motzkin_transcript(stdout_of) == expected
+
+
+# Partition texts in shuffled block and element order, with spacing, and
+# malformed: a repeat inside one block and across two, missing elements
+# (the smallest one is named), a zero, an empty element, a stray character
+# and an element far above n.
+BOUNDARY_TEXTS = (
+    "3,1/2",
+    "9,3/1,4,8/7/5,6,2",
+    "6,5,4/3,2,1",
+    " 1 , 4 ,8 / 2/ 3,7 , 9/5,6 ",
+    "",
+    "   ",
+    "1,1/2",
+    "2,1/1",
+    "3,1/5",
+    "4,5,6",
+    "0,1",
+    "1//2",
+    "1, 2/x",
+    "1/99999999999999999999",
+)
+
+
+def parse_boundary_transcript(run_one) -> str:
+    """``stats``, ``phi`` and ``motzkin`` on every boundary text, as
+    ``$ setpart ARGS`` lines each followed by the command's stdout and,
+    when it fails, an ``[exit CODE]`` line and its one stderr line;
+    ``run_one(args)`` runs one command and returns (code, stdout, stderr)."""
+    transcript = []
+    for text in BOUNDARY_TEXTS:
+        for command in ("stats", "phi", "motzkin"):
+            args = [command, text]
+            code, out, err = run_one(args)
+            transcript.append(f"$ setpart {shlex.join(args)}\n{out}")
+            if code:
+                assert out == "" and err.count("\n") == 1, args
+                transcript.append(f"[exit {code}]\n{err}")
+            else:
+                assert err == "", args
+    return "".join(transcript)
+
+
+def test_partition_text_boundary_equals_the_golden_file(capsys):
+    expected = (GOLDEN / "parse_boundary.txt").read_text()
+    assert parse_boundary_transcript(lambda args: run(args, capsys)) == expected
 
 
 # ----------------------------------------------------------------------

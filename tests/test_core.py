@@ -328,7 +328,7 @@ def test_trusted_ordered_enumeration_builds_valid_blocks():
         for op in enumerate_ordered(n):
             assert type(op.blocks) is tuple
             assert all(type(block) is tuple for block in op.blocks)
-            assert core._validate_blocks(op.blocks) == [list(block) for block in op.blocks]
+            assert core._validate_blocks(op.blocks)[0] == [list(block) for block in op.blocks]
             assert op == OrderedSetPartition(op.blocks)
 
 

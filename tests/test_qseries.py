@@ -107,8 +107,9 @@ def test_q_stirling_counts_at_one():
 def test_shifted_stirling():
     assert shifted_stirling(4, 2).text() == "3 + 3*q + q^2"
     assert shifted_stirling(5, 5) == QPolynomial.one()
-    with pytest.raises(ValueError):
-        shifted_stirling(2, 3)
+    assert shifted_stirling(2, 3) == QPolynomial.zero()
+    with pytest.raises(ValueError, match="need n, k >= 0"):
+        shifted_stirling(2, -1)
     with pytest.raises(ValueError, match="not divisible"):
         q_stirling(4, 2).divide_by_q_power(2)
 

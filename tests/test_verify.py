@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 
@@ -122,7 +121,7 @@ _FAULTS = {
     "eq4": (
         core,
         "trace_profile",
-        _altered(core.trace_profile, lambda t: dataclasses.replace(t, l=tuple(x + 1 for x in t.l))),
+        _altered(core.trace_profile, lambda t: t._replace(l=tuple(x + 1 for x in t.l))),
     ),
     "los-linv": (stats, "linv_openers", _altered(stats.linv_openers, _plus_one)),
     "phi-i": (bijections, "phi_i", lambda p, i: p),
