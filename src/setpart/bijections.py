@@ -6,13 +6,14 @@ mirrors the source's trace profile through i -> n+1-i in one pass from
 element n down to 1: singletons stay singletons, non-singleton openers
 and closers trade places, passants stay passants and keep their own
 gamma, and the mirror image of opener a takes the gamma of the closer
-matched to a by level.  The image is then rebuilt from that profile,
-each closer or passant inserted into the gamma-th incomplete block from
-the left, an incoming closer sealing its block, and ``classify`` must
-find in the image's word the roles that this pass wrote.  The same pass
-files every element into its certificate row (the image's four role
-rows, the source's closer and passant rows), so no row is scanned for
-afterwards.  The certificate and its rows are named tuples.
+matched to a by level.  The same pass writes the image's word: an
+image opener or singleton opens a new rightmost block, an image closer
+or passant joins the gamma-th incomplete block from the left, a closer
+sealing it, and ``classify`` must find in that word the roles the pass
+wrote.  It also files every element into its certificate row (the
+image's four role rows, the source's closer and passant rows), so no
+row is scanned for afterwards.  The certificate and its rows are named
+tuples.
 
 The level matching is load-bearing, not a tie-break.  Opener a sits at
 trace level l_a, its matched closer at level l_a + 1, and the mirrored
@@ -40,12 +41,10 @@ from .core import (
     SINGLETON,
     ElementClassification,
     PartitionError,
-    ProfileError,
     SetPartition,
     TraceProfile,
     _require_canonical,
     classify,
-    rebuild_from_profile,
     trace_profile,
 )
 
@@ -93,44 +92,52 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
     p = _require_canonical(p, "phi is defined on canonically ordered partitions only")
     profile = trace_profile(p)
 
-    # Reading the source profile from n down to 1 writes the image profile
-    # left to right.  The mirror of a source opener takes the gamma of the
-    # closer pushed last onto ``pending``, the one matched to it by level.
-    # The same pass files each element into its row: image element b into
-    # the image rows (ascending), source element a into the source closer
-    # and passant rows (descending until reversed below).
-    kinds, gamma, pending = [], [], []
+    # Reading the source profile from n down to 1 writes the image left to
+    # right.  The mirror of a source opener takes the gamma of the closer
+    # pushed last onto ``pending``, the one matched to it by level, and
+    # joins the incomplete block that gamma names.  The same pass files
+    # each element into its row: image element b into the image rows
+    # (ascending), source element a into the source closer and passant
+    # rows (descending until reversed below).
+    word, incomplete, pending = [], [], []  # incomplete: the image's, ascending
     singles, openers, closers, closer_g, passants, passant_g = [], [], [], [], [], []
     source_f, source_f_g, source_p = [], [], []
+    top = 0
     n = p.n
     for a, b, kind, g in zip(
         range(n, 0, -1), range(1, n + 1), reversed(profile.kinds), reversed(profile.gamma)
     ):
-        if kind is CLOSER:
+        if kind is CLOSER:  # an image opener
             source_f.append(a)
             source_f_g.append(g)
-            kind = OPENER
             pending.append(g)
-            g = len(pending)
             openers.append(b)
-        elif kind is OPENER:
-            kind = CLOSER
+            top += 1
+            word.append(top)
+            incomplete.append(top)
+            continue
+        if kind is SINGLETON:
+            singles.append(b)
+            top += 1
+            word.append(top)
+            continue
+        if kind is OPENER:  # an image closer
             g = pending.pop()
             closers.append(b)
             closer_g.append(g)
-        elif kind is SINGLETON:
-            g = len(pending) + 1
-            singles.append(b)
         else:  # a passant keeps its gamma
             source_p.append(a)
             passants.append(b)
             passant_g.append(g)
-        kinds.append(kind)
-        gamma.append(g)
-    try:
-        image = rebuild_from_profile(kinds, gamma)
-    except ProfileError as exc:
-        raise ConsistencyError(f"transferred labels rejected: {exc}") from exc
+        if not 1 <= g <= len(incomplete):
+            raise ConsistencyError(
+                f"transferred labels rejected: element {b}: "
+                f"gamma {g} outside the {len(incomplete)} incomplete blocks"
+            )
+        word.append(incomplete.pop(g - 1) if kind is OPENER else incomplete[g - 1])
+    if incomplete:
+        raise ConsistencyError("transferred labels rejected: profile ends with unclosed blocks")
+    image = SetPartition._trusted(tuple(word))
 
     image_f = GammaRow(tuple(closers), tuple(closer_g))
     image_p = GammaRow(tuple(passants), tuple(passant_g))

@@ -32,13 +32,14 @@ block and incomplete otherwise.  For each element i,
   in T_i.
 
 The pair sequence (kind_i, gamma_i) determines the partition uniquely;
-``rebuild_from_profile`` inverts ``trace_profile``.
+``motzkin.decode`` inverts ``trace_profile`` on the same profile written
+as a labeled path.
 
-Both read the restricted growth word once from left to right, keeping
-the indices of the incomplete blocks as a sorted list: l_i is its
-length before element i, and gamma_i is one plus the position of i's
-block in it.  An opener or singleton starts a new rightmost block, a
-closer leaves the list.
+``trace_profile`` reads the restricted growth word once from left to
+right, keeping the indices of the incomplete blocks as a sorted list:
+l_i is its length before element i, and gamma_i is one plus the
+position of i's block in it.  An opener or singleton starts a new
+rightmost block, a closer leaves the list.
 
 Partitions are immutable, so each object computes its classification
 and its trace profile (and a canonical partition its block count ``k``)
@@ -53,11 +54,13 @@ are given.  The block check reads the blocks in order, each one sorted,
 reports the first defect it meets, names the smallest missing element
 last and returns every element's block position.  ``from_blocks``
 numbers those positions in order of first occurrence, which gives the
-word; ``text`` prints the blocks from the word.  Words
-that this module builds valid (enumeration, ``from_blocks``,
-``rebuild_from_profile``) go through the private ``SetPartition._trusted``
-without a second check, and so do the block permutations of
-``enumerate_ordered`` (``OrderedSetPartition._trusted``).
+word.  ``OrderedSetPartition`` keeps those positions as its word, and
+``canonical`` numbers that checked word the same way, with no second
+block check.  ``text`` prints the blocks from the word.  Words that this
+module builds valid (enumeration, ``from_blocks``, ``canonical``) go
+through the private ``SetPartition._trusted`` without a second check,
+and so do the block permutations of ``enumerate_ordered``
+(``OrderedSetPartition._trusted``).
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class _cached:
 
 
 class PartitionError(ValueError):
-    """Invalid partition data (bad blocks, bad word, bad profile)."""
+    """Invalid partition data (bad blocks, bad word)."""
 
 
 class ParseError(PartitionError):
@@ -105,10 +108,6 @@ class ParseError(PartitionError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message if position is None else f"{message} (position {position})")
         self.position = position
-
-
-class ProfileError(PartitionError):
-    """A (kind, gamma) profile that no partition realizes."""
 
 
 class Kind(enum.Enum):
@@ -180,6 +179,13 @@ def _validate_blocks(blocks: Sequence[Iterable[int]]) -> tuple[list[list[int]], 
     return cleaned, positions
 
 
+def _first_occurrence_word(letters: Sequence[int]) -> tuple[int, ...]:
+    """``letters`` renumbered 1, 2, ... in order of first occurrence: the
+    restricted growth word of the blocks they name."""
+    label = dict(zip(dict.fromkeys(letters), itertools.count(1)))
+    return tuple(map(label.__getitem__, letters))
+
+
 @dataclass(frozen=True)
 class SetPartition:
     """A partition of [n] with blocks in increasing order of minima.
@@ -209,9 +215,7 @@ class SetPartition:
     @classmethod
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
         _, positions = _validate_blocks(blocks)
-        # the restricted growth word numbers the blocks in order of first occurrence
-        label = dict(zip(dict.fromkeys(positions), itertools.count(1)))
-        return cls._trusted(tuple(map(label.__getitem__, positions)))
+        return cls._trusted(_first_occurrence_word(positions))
 
     @_cached
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -246,8 +250,9 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        cleaned, _ = _validate_blocks(self.blocks)
+        cleaned, positions = _validate_blocks(self.blocks)
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in cleaned))
+        self.__dict__["word"] = tuple(positions)  # kept where the cached ``word`` view goes
 
     @classmethod
     def _trusted(cls, blocks: tuple[tuple[int, ...], ...]) -> "OrderedSetPartition":
@@ -270,7 +275,7 @@ class OrderedSetPartition:
         return len(self.blocks)
 
     def canonical(self) -> SetPartition:
-        return SetPartition.from_blocks(self.blocks)
+        return SetPartition._trusted(_first_occurrence_word(self.word))
 
     def is_canonical(self) -> bool:
         minima = [b[0] for b in self.blocks]
@@ -439,43 +444,6 @@ def _trace_pass(p: SetPartition) -> TraceProfile:
             else:
                 kinds.append(PASSANT)
     return TraceProfile(tuple(kinds), tuple(ls), tuple(gammas))
-
-
-def rebuild_from_profile(kinds: Sequence[Kind], gamma: Sequence[int]) -> SetPartition:
-    """The unique canonical partition whose trace profile is (kinds, gamma).
-
-    Openers and singletons start a new rightmost block (for them gamma
-    must equal the current incomplete count plus one); closers and
-    passants join the gamma-th incomplete block from the left, a closer
-    sealing it.  Raises ProfileError when no partition fits.
-    """
-    if len(kinds) != len(gamma):
-        raise ProfileError("kinds and gamma have different lengths")
-    word: list[int] = []
-    incomplete: list[int] = []  # indices of the incomplete blocks, ascending
-    top = 0
-    for i, (kind, g) in enumerate(zip(kinds, gamma), start=1):
-        count = len(incomplete)
-        if kind is OPENER or kind is SINGLETON:
-            if g != count + 1:
-                raise ProfileError(
-                    f"element {i}: a new block must carry gamma {count + 1}, got {g}"
-                )
-            top += 1
-            word.append(top)
-            if kind is OPENER:
-                incomplete.append(top)
-        else:
-            if not 1 <= g <= count:
-                raise ProfileError(
-                    f"element {i}: gamma {g} outside the {count} incomplete blocks"
-                )
-            word.append(incomplete[g - 1])
-            if kind is CLOSER:
-                del incomplete[g - 1]
-    if incomplete:
-        raise ProfileError("profile ends with unclosed blocks")
-    return SetPartition._trusted(tuple(word))
 
 
 def _rgf_words(n: int, k: int | None) -> Iterator[tuple[int, ...]]:

@@ -10,8 +10,10 @@ Element i of a canonical partition becomes step i of the path:
 
 Heights stay non-negative and return to 0; an SE or plain E step leaving
 height h carries a label in [1, h].  Under this encoding the height
-before step i equals l_i, so decoding is the profile rebuild.  The
-number of valid paths of length n is the n-th Bell number.
+before step i equals l_i and the label of an SE or plain E step is
+gamma_i, so the path is the trace profile written as steps, and
+``decode`` inverts ``core.trace_profile``.  The number of valid paths of
+length n is the n-th Bell number.
 
 ``reflect`` mirrors a path left to right: NE and SE swap, E steps keep
 their label and star at the mirrored position, and each output SE step
@@ -30,9 +32,12 @@ can take; both are valid by construction and go through the private
 ``LabeledMotzkinPath._trusted``.  ``decode`` trusts its path, checked or
 built valid when it was made.
 
-Equal steps are shared: ``encode`` and ``enumerate_paths`` make each
-(kind, label) step once per call, and ``reflect`` reuses the first input
-SE step of each label; a ``Step`` is immutable.
+A ``Step`` is a named tuple (kind, label, starred), so a step equals
+the plain tuple of its fields.  The passes read steps by unpacking or
+index and compare kinds with ``==``, never ``is``: parsed and JSON
+steps carry kind strings of their own.  Equal steps are shared:
+``encode`` and ``enumerate_paths`` make each (kind, label) step once per
+call, and ``reflect`` reuses the first input SE step of each label.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import CLOSER, OPENER, SINGLETON
 from .core import SetPartition, trace_profile
@@ -53,8 +58,9 @@ class PathError(ValueError):
     """An invalid labeled Motzkin path; mentions the offending step."""
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
+    """One step: kind NE, SE or E, its label, and the star of a singleton."""
+
     kind: str
     label: int
     starred: bool = False
@@ -71,25 +77,23 @@ class LabeledMotzkinPath:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         h = 0
-        for idx, step in enumerate(self.steps, start=1):
-            if step.kind not in _KINDS:
-                raise PathError(f"step {idx}: unknown kind {step.kind!r}")
-            if step.starred and step.kind != E:
+        for idx, (kind, label, starred) in enumerate(self.steps, start=1):
+            if kind not in _KINDS:
+                raise PathError(f"step {idx}: unknown kind {kind!r}")
+            if starred and kind != E:
                 raise PathError(f"step {idx}: only E steps may be starred")
-            if step.kind == NE:
-                if step.label != 1:
+            if kind == NE:
+                if label != 1:
                     raise PathError(f"step {idx}: NE steps carry label 1")
                 h += 1
-            elif step.kind == E and step.starred:
-                if step.label != 1:
+            elif starred:
+                if label != 1:
                     raise PathError(f"step {idx}: starred E steps carry label 1")
             else:
                 # SE or plain E leaving height h
-                if not 1 <= step.label <= h:
-                    raise PathError(
-                        f"step {idx}: label {step.label} outside [1, {h}]"
-                    )
-                if step.kind == SE:
+                if not 1 <= label <= h:
+                    raise PathError(f"step {idx}: label {label} outside [1, {h}]")
+                if kind == SE:
                     h -= 1
         if h != 0:
             raise PathError(f"path ends at height {h}, not 0")
@@ -209,16 +213,19 @@ def decode(path: LabeledMotzkinPath) -> SetPartition:
     incomplete: list[int] = []  # the incomplete blocks, ascending
     top = 0
     try:
-        for step in path.steps:
-            if step.kind == NE or step.starred:
+        for step in path.steps:  # (kind, label, starred), read by index
+            kind = step[0]
+            if kind == NE:
                 top += 1
                 word.append(top)
-                if step.kind == NE:
-                    incomplete.append(top)
-            elif step.kind == SE:
-                word.append(incomplete.pop(step.label - 1))
+                incomplete.append(top)
+            elif kind == SE:
+                word.append(incomplete.pop(step[1] - 1))
+            elif step[2]:
+                top += 1
+                word.append(top)
             else:
-                word.append(incomplete[step.label - 1])
+                word.append(incomplete[step[1] - 1])
     except IndexError:
         # a label above the height, on an unchecked path: the checks name it
         LabeledMotzkinPath(path.steps)
@@ -241,10 +248,11 @@ def reflect(path: LabeledMotzkinPath) -> LabeledMotzkinPath:
     opened = []  # positions of the NE steps not yet closed, innermost last
     try:
         for idx, step in enumerate(steps):
-            if step.kind == NE:
+            kind = step[0]
+            if kind == NE:
                 opened.append(idx)
-            elif step.kind == SE:
-                out[opened.pop()] = se.setdefault(step.label, step)
+            elif kind == SE:
+                out[opened.pop()] = se.setdefault(step[1], step)
                 out[idx] = _NE1
     except IndexError:
         # an SE step below height 0, on an unchecked path: the checks name it

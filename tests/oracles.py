@@ -5,9 +5,16 @@ Everything here works on plain block tuples and recomputes each quantity
 straight from its set-theoretic definition, quadratically or worse.  No
 function imports the scan implementations under test, so agreement is a
 genuine cross-check rather than the same code run twice.
+
+The one exception is ``rebuild_from_profile``: a copy of the library's
+former profile rebuild, which ``motzkin.decode`` and the image pass of
+``bijections.phi_certificate`` replaced.  It keeps every check it had
+and hands its word to the checked ``SetPartition`` constructor.
 """
 
 from __future__ import annotations
+
+from setpart.core import CLOSER, OPENER, SINGLETON, SetPartition
 
 
 def word_of(blocks):
@@ -179,6 +186,47 @@ def l_gamma(blocks):
         j = w[i - 1] - 1
         gammas.append(1 + sum(1 for t in incomplete_in_trace(blocks, i) if t < j))
     return ls, gammas
+
+
+class ProfileError(ValueError):
+    """A (kind, gamma) profile that no partition realizes."""
+
+
+def rebuild_from_profile(kinds, gamma):
+    """The unique canonical partition whose trace profile is (kinds, gamma).
+
+    Openers and singletons start a new rightmost block (for them gamma
+    must equal the current incomplete count plus one); closers and
+    passants join the gamma-th incomplete block from the left, a closer
+    sealing it.  Raises ProfileError when no partition fits.
+    """
+    if len(kinds) != len(gamma):
+        raise ProfileError("kinds and gamma have different lengths")
+    word = []
+    incomplete = []  # indices of the incomplete blocks, ascending
+    top = 0
+    for i, (kind, g) in enumerate(zip(kinds, gamma), start=1):
+        count = len(incomplete)
+        if kind is OPENER or kind is SINGLETON:
+            if g != count + 1:
+                raise ProfileError(
+                    f"element {i}: a new block must carry gamma {count + 1}, got {g}"
+                )
+            top += 1
+            word.append(top)
+            if kind is OPENER:
+                incomplete.append(top)
+        else:
+            if not 1 <= g <= count:
+                raise ProfileError(
+                    f"element {i}: gamma {g} outside the {count} incomplete blocks"
+                )
+            word.append(incomplete[g - 1])
+            if kind is CLOSER:
+                del incomplete[g - 1]
+    if incomplete:
+        raise ProfileError("profile ends with unclosed blocks")
+    return SetPartition(tuple(word))
 
 
 def all_partitions(n):

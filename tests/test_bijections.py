@@ -96,39 +96,72 @@ def _scanned_row(kinds, gamma, kind) -> GammaRow:
     return GammaRow(values, tuple(gamma[i - 1] for i in values))
 
 
-def test_certificate_rows_equal_a_scan_of_each_profile(monkeypatch):
-    written = []
-    rebuild = bijections.rebuild_from_profile
-
-    def recording(kinds, gamma):
-        written.append((kinds, gamma))
-        return rebuild(kinds, gamma)
-
-    monkeypatch.setattr(bijections, "rebuild_from_profile", recording)
+def test_certificate_rows_equal_a_scan_of_each_profile():
     partitions = [p for n in range(9) for p in enumerate_partitions(n)]
     partitions += [SetPartition(w) for w in LONG_SEEDED_WORDS]
     for p in partitions:
         cert = phi_certificate(p)
         source = trace_profile(p)
-        kinds, gamma = written.pop()
+        image = trace_profile(cert.image)  # an independent pass over the image's word
         assert (cert.source_f, cert.source_p, cert.image_f, cert.image_p) == (
             _scanned_row(source.kinds, source.gamma, CLOSER),
             _scanned_row(source.kinds, source.gamma, PASSANT),
-            _scanned_row(kinds, gamma, CLOSER),
-            _scanned_row(kinds, gamma, PASSANT),
+            _scanned_row(image.kinds, image.gamma, CLOSER),
+            _scanned_row(image.kinds, image.gamma, PASSANT),
         ), p.text()
 
 
 def test_phi_checks_the_image_against_the_written_roles(monkeypatch):
-    # a rebuild that lands on another valid partition must not pass
+    # an image whose word shows other roles than the pass wrote must not pass
     p = parse_partition("1,4,8/2/3,7,9/5,6")
     for wrong in ("1,2,3,4,5,6,7,8,9", "1/2/3/4/5/6/7/8/9", p.text()):
-        monkeypatch.setattr(
-            bijections, "rebuild_from_profile", lambda kinds, gamma: parse_partition(wrong)
-        )
+        found = classify(parse_partition(wrong))
+        monkeypatch.setattr(bijections, "classify", lambda image: found)
         with pytest.raises(ConsistencyError) as info:
             phi_certificate(p)
         assert str(info.value) == "image classification does not mirror the source"
+
+
+def _with_profile(monkeypatch, p, **fields):
+    # phi reads a source profile with the given fields replaced
+    faulty = trace_profile(p)._replace(**{k: tuple(v) for k, v in fields.items()})
+    monkeypatch.setattr(bijections, "trace_profile", lambda q: faulty)
+
+
+def test_phi_rejects_transferred_labels_outside_the_incomplete_blocks(monkeypatch):
+    # a source closer's gamma travels to the image closer matched to it by
+    # level, which has exactly l_c incomplete blocks to join
+    p = parse_partition("1,4,8/2/3,7,9/5,6")
+    true = trace_profile(p)
+    cases = 0
+    for c in classify(p).closer_nonsingletons + classify(p).passants:
+        for bad in (0, true.l[c - 1] + 1):
+            gamma = list(true.gamma)
+            gamma[c - 1] = bad
+            _with_profile(monkeypatch, p, gamma=gamma)
+            with pytest.raises(ConsistencyError, match="^transferred labels rejected: element "):
+                phi_certificate(p)
+            cases += 1
+    assert cases == 10
+    gamma = list(true.gamma)
+    gamma[5] = 4  # closer 6 at level 3 gives its gamma to 5, the mirror of opener 5
+    _with_profile(monkeypatch, p, gamma=gamma)
+    with pytest.raises(ConsistencyError) as info:
+        phi_certificate(p)
+    assert str(info.value) == (
+        "transferred labels rejected: element 5: gamma 4 outside the 3 incomplete blocks"
+    )
+
+
+def test_phi_rejects_a_profile_that_leaves_blocks_open(monkeypatch):
+    # a passant read as a closer mirrors to an opener that nothing closes
+    p = parse_partition("1,4,8/2/3,7,9/5,6")
+    kinds = list(trace_profile(p).kinds)
+    kinds[6] = CLOSER
+    _with_profile(monkeypatch, p, kinds=kinds)
+    with pytest.raises(ConsistencyError) as info:
+        phi_certificate(p)
+    assert str(info.value) == "transferred labels rejected: profile ends with unclosed blocks"
 
 
 def test_phi_trivial_inputs():

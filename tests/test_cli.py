@@ -196,6 +196,23 @@ def test_stats_json(capsys):
     assert payload["values"] == {"mak": 9, "makp": 10, "lmak": 10, "lmakp": 9}
 
 
+def test_stats_checks_each_partition_text_once(capsys, monkeypatch):
+    # canonical() numbers the word parse_ordered checked; it checks no block again
+    calls = []
+    validate = core._validate_blocks
+
+    def counting(blocks):
+        calls.append(blocks)
+        return validate(blocks)
+
+    monkeypatch.setattr(core, "_validate_blocks", counting)
+    for text, want in (("1,4,8/2,9/3,7/5,6", "9,10,10,9"), ("3/1,2", "1,2,2,1")):
+        calls.clear()
+        code, out, _ = run(["stats", text], capsys)
+        assert (code, out) == (0, "mak,makp,lmak,lmakp\n" + want + "\n")
+        assert len(calls) == 1, text
+
+
 def test_stats_no_names(capsys):
     code, out, err = run(["stats", "1,2", "-s", ""], capsys)
     assert code == 2

@@ -11,7 +11,6 @@ from setpart.core import (
     OrderedSetPartition,
     ParseError,
     PartitionError,
-    ProfileError,
     SetPartition,
     classify,
     enumerate_ordered,
@@ -19,7 +18,6 @@ from setpart.core import (
     format_blocks,
     parse_ordered,
     parse_partition,
-    rebuild_from_profile,
     trace_profile,
     _check_rgf,
 )
@@ -268,26 +266,17 @@ def test_equality_and_hash_ignore_the_cached_views():
 
 
 def test_rebuild_inverts_trace():
+    # the profile determines the partition: the oracle's rebuild, with
+    # all its checks, returns each partition from its trace profile
     for n in range(7):
         for p in enumerate_partitions(n):
             profile = trace_profile(p)
-            assert rebuild_from_profile(profile.kinds, profile.gamma) == p
+            assert oracles.rebuild_from_profile(profile.kinds, profile.gamma) == p
     for word in SEEDED_WORDS:
         p = SetPartition(word)
         profile = trace_profile(p)
         assert (list(profile.l), list(profile.gamma)) == oracles.l_gamma(p.blocks)
-        assert rebuild_from_profile(profile.kinds, profile.gamma) == p
-
-
-def test_rebuild_rejects_impossible_profiles():
-    with pytest.raises(ProfileError, match="element 1"):
-        rebuild_from_profile([Kind.OPENER], [2])
-    with pytest.raises(ProfileError, match="element 2: gamma 2"):
-        rebuild_from_profile([Kind.OPENER, Kind.CLOSER], [1, 2])
-    with pytest.raises(ProfileError, match="unclosed"):
-        rebuild_from_profile([Kind.OPENER], [1])
-    with pytest.raises(ProfileError, match="different lengths"):
-        rebuild_from_profile([Kind.SINGLETON], [1, 1])
+        assert oracles.rebuild_from_profile(profile.kinds, profile.gamma) == p
 
 
 def test_kind_members_have_module_names():
@@ -299,15 +288,21 @@ def test_kind_members_have_module_names():
 
 def _trusted_builds(p):
     """What each site that skips the word check builds for ``p``."""
-    profile = trace_profile(p)
-    yield rebuild_from_profile(profile.kinds, profile.gamma)
+    from setpart.bijections import phi
+
+    image = phi(p)  # built by phi's mirror pass
+    assert type(image.word) is tuple
+    _check_rgf(image.word)
+    yield phi(image)
     yield SetPartition.from_blocks([block[::-1] for block in reversed(p.blocks)])
-    yield parse_partition(" / ".join(",".join(map(str, b)) for b in reversed(p.blocks)))
+    shuffled = " / ".join(",".join(map(str, b)) for b in reversed(p.blocks))
+    yield parse_partition(shuffled)
+    yield parse_ordered(shuffled).canonical()
 
 
 def test_trusted_sites_build_valid_words():
-    # enumeration, from_blocks and the profile rebuild skip _check_rgf:
-    # every word they build must pass it
+    # enumeration, from_blocks, canonical and phi's mirror pass skip
+    # _check_rgf: every word they build must pass it
     enumerated = [p for n in range(9) for p in enumerate_partitions(n)]
     enumerated += [p for n in range(9) for k in range(n + 1) for p in enumerate_partitions(n, k)]
     assert len(enumerated) == 2 * sum(oracles.bell(n) for n in range(9))
@@ -397,6 +392,23 @@ def test_ordered_partitions():
     assert parse_ordered("1,2/3").is_canonical()
     with pytest.raises(ParseError):
         parse_ordered("1,1/2")
+
+
+def test_canonical_equals_from_blocks():
+    # canonical() numbers the checked word; from_blocks checks the blocks again
+    ordered = [op for n in range(7) for op in enumerate_ordered(n)]
+    rng = random.Random(15)
+    for word in LONG_SEEDED_WORDS:
+        blocks = [list(block) for block in SetPartition(word).blocks]
+        rng.shuffle(blocks)
+        for block in blocks:
+            rng.shuffle(block)
+        ordered.append(OrderedSetPartition(blocks))
+    for op in ordered:
+        p = op.canonical()
+        assert type(p) is SetPartition and type(p.word) is tuple
+        _check_rgf(p.word)
+        assert p == SetPartition.from_blocks(op.blocks), op.text()
 
 
 @given(rgf_words())

@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import pytest
@@ -12,7 +13,6 @@ from setpart.core import (
     SetPartition,
     enumerate_partitions,
     parse_partition,
-    rebuild_from_profile,
     trace_profile,
 )
 from setpart.motzkin import (
@@ -151,13 +151,15 @@ def _profile_decode(path):
         else:
             kinds.append(PASSANT)
             gammas.append(step.label)
-    return rebuild_from_profile(kinds, gammas)
+    return oracles.rebuild_from_profile(kinds, gammas)
 
 
 def _reference_paths():
     paths = [path for n in range(9) for path in enumerate_paths(n)]
-    # parsed paths share no step objects
+    # parsed paths share no step objects, and their NE and SE kinds are
+    # equal strings but not the module's objects
     paths += [LabeledMotzkinPath.parse(path.text()) for path in paths[::7]]
+    paths += [LabeledMotzkinPath.parse(json.dumps(path.to_json_dict())) for path in paths[::11]]
     paths += [LabeledMotzkinPath.parse(P3_PATH), LabeledMotzkinPath.parse(P3_IMAGE_PATH)]
     paths += [encode(SetPartition(word)) for word in LONG_SEEDED_WORDS]
     return paths
@@ -247,9 +249,13 @@ def test_text_round_trip():
 def test_json_round_trip():
     path = encode(P3)
     assert LabeledMotzkinPath.from_json_dict(path.to_json_dict()) == path
-    import json
-
     assert LabeledMotzkinPath.parse(json.dumps(path.to_json_dict())) == path
+
+
+def test_a_step_is_a_named_tuple():
+    assert Step(SE, 2) == (SE, 2, False) and Step(E, 1, True) == (E, 1, True)
+    assert Step(NE, 1).text() == "NE(1)" and Step(E, 1, starred=True).text() == "E(1*)"
+    assert Step(E, 2)._replace(kind=SE) == Step(SE, 2)
 
 
 def test_json_errors_are_path_errors():
