@@ -28,7 +28,9 @@ stat_i by one: stat_i(p) = stat_{i+1}(phi_i(p)) - 1.
 
 ``match_openers_closers`` pairs each non-singleton opener a with the
 smallest unused non-singleton closer at trace level l_a + 1, witnessing
-that the two level sums agree.
+that the two level sums agree.  It is the lemma1 suite's independent
+witness: ``phi`` does not call it, and pairs each mirrored opener with
+its closer through the stack of its own pass.
 """
 
 from __future__ import annotations
@@ -39,10 +41,8 @@ from .core import (
     CLOSER,
     OPENER,
     SINGLETON,
-    ElementClassification,
     PartitionError,
     SetPartition,
-    TraceProfile,
     _require_canonical,
     classify,
     trace_profile,
@@ -194,22 +194,6 @@ def phi_i(p: SetPartition, i: int) -> SetPartition:
     return image
 
 
-def _level_matching(cls: ElementClassification, profile: TraceProfile) -> dict[int, int]:
-    available: dict[int, list[int]] = {}
-    for c in cls.closer_nonsingletons:
-        available.setdefault(profile.l[c - 1], []).append(c)
-    for level in available.values():
-        level.sort(reverse=True)  # pop() then yields the smallest
-    matching: dict[int, int] = {}
-    for a in cls.opener_nonsingletons:
-        level = profile.l[a - 1] + 1
-        bucket = available.get(level)
-        if not bucket:
-            raise ConsistencyError(f"no closer left at level {level} for opener {a}")
-        matching[a] = bucket.pop()
-    return matching
-
-
 def match_openers_closers(p: SetPartition) -> dict[int, int]:
     """Greedy level matching of non-singleton openers to closers.
 
@@ -219,4 +203,17 @@ def match_openers_closers(p: SetPartition) -> dict[int, int]:
     p = _require_canonical(
         p, "match_openers_closers is defined on canonically ordered partitions only"
     )
-    return _level_matching(classify(p), trace_profile(p))
+    cls, ls = classify(p), trace_profile(p).l
+    available: dict[int, list[int]] = {}
+    for c in cls.closer_nonsingletons:
+        available.setdefault(ls[c - 1], []).append(c)
+    for level in available.values():
+        level.sort(reverse=True)  # pop() then yields the smallest
+    matching: dict[int, int] = {}
+    for a in cls.opener_nonsingletons:
+        level = ls[a - 1] + 1
+        bucket = available.get(level)
+        if not bucket:
+            raise ConsistencyError(f"no closer left at level {level} for opener {a}")
+        matching[a] = bucket.pop()
+    return matching

@@ -1,15 +1,16 @@
 """
 Representations of set partitions of [n] = {1, ..., n}.
 
-Two kinds of objects live here:
+A partition is stored as its block-index word w, where w_i is the
+block that holds i.  The base class ``Partition`` holds the word and
+reads off it the block view, ``n``, ``k`` and the text; it has no public
+constructor.  Two kinds of objects derive from it:
 
 - SetPartition: blocks listed in increasing order of their minima (the
-  canonical order).  Internally a partition is stored as its restricted
-  growth word w, where w_i is the index of the block containing i; the
-  block view is derived from the word.
-- OrderedSetPartition: blocks in an arbitrary, meaningful order.  Stored
-  as the block tuple; its word w_i (index of the block containing i) is
-  derived and is generally not a restricted growth word.
+  canonical order), so its word is a restricted growth word.
+- OrderedSetPartition: blocks in an arbitrary, meaningful order.  Its
+  word numbers the blocks in that order and is generally not a
+  restricted growth word; each block is still read in ascending order.
 
 Elements are 1-based everywhere.  n = 0 is allowed and denotes the empty
 partition (zero blocks), which counts as one object.
@@ -41,11 +42,11 @@ l_i is its length before element i, and gamma_i is one plus the
 position of i's block in it.  An opener or singleton starts a new
 rightmost block, a closer leaves the list.
 
-Partitions are immutable, so each object computes its classification
-and its trace profile (and a canonical partition its block count ``k``)
-once, on first request, and keeps them in its instance dict next to the
-cached ``blocks`` view (``_memo``); they live exactly as long as the
-object and take no part in equality or hashing; both are named tuples.
+Partitions are immutable, so each object computes its classification,
+its trace profile and its block count ``k`` once, on first request, and
+keeps them in its instance dict next to the cached ``blocks`` view
+(``_memo``); they live exactly as long as the object and take no part in
+equality or hashing; the first two are named tuples.
 
 Validation happens at the boundary only: the public constructors
 (``SetPartition(word)``, ``SetPartition.from_blocks`` and
@@ -56,11 +57,10 @@ last and returns every element's block position.  ``from_blocks``
 numbers those positions in order of first occurrence, which gives the
 word.  ``OrderedSetPartition`` keeps those positions as its word, and
 ``canonical`` numbers that checked word the same way, with no second
-block check.  ``text`` prints the blocks from the word.  Words that this
-module builds valid (enumeration, ``from_blocks``, ``canonical``) go
-through the private ``SetPartition._trusted`` without a second check,
-and so do the block permutations of ``enumerate_ordered``
-(``OrderedSetPartition._trusted``).
+block check.  Words that this module builds valid (enumeration,
+``from_blocks``, ``canonical`` and the block permutations of
+``enumerate_ordered``) go through the private ``Partition._trusted``
+without a second check.
 """
 
 from __future__ import annotations
@@ -141,14 +141,6 @@ def _blocks_from_word(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks)
 
 
-def _word_from_blocks(blocks: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    word = [0] * sum(len(b) for b in blocks)
-    for idx, block in enumerate(blocks, start=1):
-        for x in block:
-            word[x - 1] = idx
-    return tuple(word)
-
-
 def _validate_blocks(blocks: Sequence[Iterable[int]]) -> tuple[list[list[int]], list[int]]:
     """The sorted blocks and each element's 1-based block position, from one
     pass over the blocks in order that reports the first defect it meets
@@ -186,36 +178,25 @@ def _first_occurrence_word(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(label.__getitem__, letters))
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of [n] with blocks in increasing order of minima.
-
-    The canonical representation is the restricted growth word; ``blocks``
-    is a derived view.
-
-    >>> SetPartition.from_blocks([[2, 1], [3]]).text()
-    '1,2/3'
-    >>> SetPartition([1, 2, 1]).blocks
-    ((1, 3), (2,))
+@dataclass(frozen=True, init=False)
+class Partition:
+    """A partition of [n] stored as its block-index word, where w_i is the
+    block that holds i; the block view, ``n``, ``k`` and the text are read
+    off the word.  It has no public constructor: build a ``SetPartition``
+    or an ``OrderedSetPartition``.
     """
 
     word: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-        _check_rgf(self.word)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a SetPartition or an OrderedSetPartition")
 
     @classmethod
-    def _trusted(cls, word: tuple[int, ...]) -> "SetPartition":
+    def _trusted(cls, word: tuple[int, ...]):
         """The partition of ``word``, built valid by the caller; no check."""
         p = object.__new__(cls)
         object.__setattr__(p, "word", word)
         return p
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
-        _, positions = _validate_blocks(blocks)
-        return cls._trusted(_first_occurrence_word(positions))
 
     @_cached
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -240,39 +221,41 @@ class SetPartition:
 
 
 @dataclass(frozen=True)
-class OrderedSetPartition:
-    """A partition of [n] whose block order carries meaning.
+class SetPartition(Partition):
+    """A partition of [n] with blocks in increasing order of minima.
 
-    ``word`` maps each element to the index of its block in the given
-    order; it need not be a restricted growth word.
+    The canonical representation is the restricted growth word; ``blocks``
+    is a derived view.
+
+    >>> SetPartition.from_blocks([[2, 1], [3]]).text()
+    '1,2/3'
+    >>> SetPartition([1, 2, 1]).blocks
+    ((1, 3), (2,))
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-
     def __post_init__(self):
-        cleaned, positions = _validate_blocks(self.blocks)
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in cleaned))
-        self.__dict__["word"] = tuple(positions)  # kept where the cached ``word`` view goes
+        object.__setattr__(self, "word", tuple(self.word))
+        _check_rgf(self.word)
 
     @classmethod
-    def _trusted(cls, blocks: tuple[tuple[int, ...], ...]) -> "OrderedSetPartition":
-        """The ordered partition of ``blocks``, valid and sorted by the
-        caller's construction; no check."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "blocks", blocks)
-        return p
+    def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
+        _, positions = _validate_blocks(blocks)
+        return cls._trusted(_first_occurrence_word(positions))
 
-    @_cached
-    def word(self) -> tuple[int, ...]:
-        return _word_from_blocks(self.blocks)
 
-    @_cached
-    def n(self) -> int:
-        return sum(map(len, self.blocks))
+@dataclass(frozen=True, init=False)
+class OrderedSetPartition(Partition):
+    """A partition of [n] whose block order carries meaning.
 
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
+    Its word numbers the blocks in the given order, so it need not be a
+    restricted growth word; ``blocks`` lists them in that order, each
+    ascending.
+    """
+
+    def __init__(self, blocks: Sequence[Iterable[int]]):
+        cleaned, positions = _validate_blocks(blocks)
+        object.__setattr__(self, "word", tuple(positions))
+        self.__dict__["blocks"] = tuple(map(tuple, cleaned))  # where the cached view goes
 
     def canonical(self) -> SetPartition:
         return SetPartition._trusted(_first_occurrence_word(self.word))
@@ -280,19 +263,6 @@ class OrderedSetPartition:
     def is_canonical(self) -> bool:
         minima = [b[0] for b in self.blocks]
         return all(a < b for a, b in zip(minima, minima[1:]))
-
-    def text(self) -> str:
-        return format_blocks(self.blocks)
-
-    def __str__(self) -> str:
-        return self.text()
-
-
-Partition = SetPartition | OrderedSetPartition
-
-
-def format_blocks(blocks: Sequence[Sequence[int]]) -> str:
-    return "/".join(",".join(map(str, block)) for block in blocks)
 
 
 def _parse_blocks(text: str) -> list[list[int]]:
@@ -489,5 +459,9 @@ def enumerate_ordered(n: int, k: int | None = None) -> Iterator[OrderedSetPartit
     """All ordered partitions of [n]: canonical partitions in word order,
     each expanded through its block permutations in lexicographic order."""
     for p in enumerate_partitions(n, k):
-        for perm in itertools.permutations(p.blocks):
-            yield OrderedSetPartition._trusted(perm)
+        word, labels = p.word, range(1, p.k + 1)
+        for perm, blocks in zip(itertools.permutations(labels), itertools.permutations(p.blocks)):
+            place = dict(zip(perm, labels))  # old block index -> new one
+            op = OrderedSetPartition._trusted(tuple(map(place.__getitem__, word)))
+            op.__dict__["blocks"] = blocks
+            yield op

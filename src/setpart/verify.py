@@ -650,12 +650,3 @@ def run_suite(
         wall_time_s=wall,
     )
 
-
-def run_all(
-    n_max: int | None = None, threads: int = 1, max_witnesses: int = 10
-) -> list[VerificationReport]:
-    """Every suite at its own default range (or a shared override)."""
-    return [
-        run_suite(name, n_max=n_max, threads=threads, max_witnesses=max_witnesses)
-        for name in SUITE_NAMES
-    ]

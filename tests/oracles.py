@@ -27,6 +27,12 @@ def word_of(blocks):
     return w
 
 
+def format_blocks(blocks):
+    """The partition text of ``blocks`` in the given order: the library's
+    former block formatter, verbatim."""
+    return "/".join(",".join(map(str, block)) for block in blocks)
+
+
 def openers_of(blocks):
     return {min(b) for b in blocks}
 

@@ -19,11 +19,11 @@ from setpart.core import (
     SetPartition,
     _parse_blocks,
     enumerate_partitions,
-    format_blocks,
     parse_ordered,
     parse_partition,
 )
 
+from oracles import format_blocks
 from test_core import seeded_word
 
 
@@ -70,7 +70,7 @@ def _from_blocks(blocks):
 
 def _ordered(blocks):
     cleaned = _validate_blocks(blocks)
-    return OrderedSetPartition._trusted(tuple(tuple(b) for b in cleaned))
+    return OrderedSetPartition._trusted(_word_from_blocks(cleaned))
 
 
 def _parsed(build):

@@ -567,6 +567,52 @@ def test_partition_text_boundary_equals_the_golden_file(capsys):
     assert parse_boundary_transcript(lambda args: run(args, capsys)) == expected
 
 
+# Texts whose blocks are out of canonical order, so `stats` keeps them as
+# ordered partitions: reversed blocks, descending elements, a singleton
+# first, blocks that dominate their successors and blocks that interleave.
+ORDERED_TEXTS = (
+    "2/1",
+    "3,1/2",
+    "6,5,4/3,2,1",
+    "5/4/3/2/1",
+    "2,4/1,3",
+    "7,1/6,2/5,3/4",
+    "9,3/1,4,8/7/5,6,2",
+    "3/1,4,8/2,9/5,6,7",
+    "10,2/9,3,1/8,4/7,5/6",
+    "12,1/3,11,5/2,7/10/4,6,8,9",
+)
+
+
+def ordered_transcript(stdout_of) -> str:
+    """Every command that builds ordered partitions: enumeration, genfun
+    with the block-order statistics, stats on out-of-order texts and the
+    euler-mahonian suite, as ``$ setpart ARGS`` lines each followed by the
+    command's stdout; ``stdout_of(args)`` runs one command."""
+    commands = [
+        ["enumerate", "-n", "5", "--ordered"],
+        ["enumerate", "-n", "4", "-k", "2", "--ordered", "--json"],
+        ["genfun", "-n", "6", "--ordered", "-s", "mak+bmaj", "--compare", "qstirling-times-qfact"],
+        ["genfun", "-n", "5", "--ordered", "-s", "lmakp+binv", "--json"],
+    ]
+    for text in ORDERED_TEXTS:
+        commands += [["stats", text], ["stats", text, "--per-element"]]
+        commands += [["stats", text, "-s", "ros,rob,rcs,rcb,los,lob,lcs,lcb,bmaj,binv"]]
+    commands.append(["verify", "euler-mahonian", "--n-max", "6"])
+    return "".join(f"$ setpart {shlex.join(args)}\n{stdout_of(args)}" for args in commands)
+
+
+def test_ordered_partition_stdout_equals_the_golden_file(capsys):
+    def stdout_of(args):
+        code, out, err = run(args, capsys)
+        assert code == 0, args
+        assert args[0] == "verify" or err == "", args
+        return out
+
+    expected = (GOLDEN / "ordered.txt").read_text()
+    assert ordered_transcript(stdout_of) == expected
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------

@@ -27,9 +27,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setpart import cli, verify
-from setpart.core import SetPartition, format_blocks
+from setpart.core import SetPartition
 from setpart.qseries import QPolynomial
 
+from oracles import format_blocks
 from test_core import rgf_words
 
 

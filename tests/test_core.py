@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +17,6 @@ from setpart.core import (
     classify,
     enumerate_ordered,
     enumerate_partitions,
-    format_blocks,
     parse_ordered,
     parse_partition,
     trace_profile,
@@ -256,8 +257,8 @@ def test_equality_and_hash_ignore_the_cached_views():
             assert warm.k == max(warm.word, default=0)
             assert "k" in warm.__dict__ and "k" not in cold.__dict__
         else:
-            assert warm.n == sum(map(len, warm.blocks))
-            assert "n" in warm.__dict__ and "n" not in cold.__dict__
+            assert warm.k == len(warm.blocks)
+            assert "k" in warm.__dict__ and "k" not in cold.__dict__
         assert warm.__dict__.keys() != cold.__dict__.keys()
         assert warm == cold and cold == warm
         assert hash(warm) == hash(cold)
@@ -327,6 +328,56 @@ def test_trusted_ordered_enumeration_builds_valid_blocks():
             assert op == OrderedSetPartition(op.blocks)
 
 
+def _given_ordered_blocks():
+    """Block lists in a meaningful order, elements shuffled: every block
+    permutation of every partition of n <= 6, then 500 seeded shuffles
+    with 16 <= n <= 64."""
+    rng = random.Random(16)
+    for n in range(7):
+        for p in enumerate_partitions(n):
+            for perm in itertools.permutations(p.blocks):
+                yield [rng.sample(block, len(block)) for block in perm]
+    for word in LONG_SEEDED_WORDS:
+        blocks = [rng.sample(block, len(block)) for block in SetPartition(word).blocks]
+        rng.shuffle(blocks)
+        yield blocks
+
+
+def _check_ordered(op, given):
+    sorted_blocks = tuple(tuple(sorted(block)) for block in given)
+    assert type(op) is OrderedSetPartition and type(op.word) is tuple
+    assert op.blocks == sorted_blocks
+    assert list(op.word) == oracles.word_of(op.blocks) == oracles.word_of(given)
+    assert op.text() == str(op) == oracles.format_blocks(sorted_blocks)
+    assert op.n == sum(map(len, given)) and op.k == len(given)
+
+
+def test_an_ordered_partition_is_the_word_of_its_given_blocks():
+    cases = 0
+    for given in _given_ordered_blocks():
+        _check_ordered(OrderedSetPartition(given), given)
+        cases += 1
+    ordered = sum(math.factorial(k) * oracles.stirling(n, k) for n in range(7) for k in range(n + 1))
+    assert cases == ordered + 500
+
+
+def test_enumerate_ordered_equals_the_checked_constructor():
+    for n in range(7):
+        perms = [perm for p in enumerate_partitions(n) for perm in itertools.permutations(p.blocks)]
+        enumerated = list(enumerate_ordered(n))
+        assert enumerated == [OrderedSetPartition(perm) for perm in perms]
+        for op, perm in zip(enumerated, perms):
+            _check_ordered(op, perm)
+
+
+def test_partition_has_no_public_constructor():
+    assert isinstance(SetPartition((1,)), core.Partition)
+    assert isinstance(OrderedSetPartition([[1]]), core.Partition)
+    for args, kwargs in (((), {}), (((1,),), {}), ((), {"word": (1,)})):
+        with pytest.raises(TypeError, match="build a SetPartition or an OrderedSetPartition"):
+            core.Partition(*args, **kwargs)
+
+
 def test_classify_matches_minima_and_maxima_of_the_blocks():
     ordered = [p for n in range(7) for p in enumerate_ordered(n)]
     seeded = [SetPartition(word) for word in SEEDED_WORDS]
@@ -362,7 +413,7 @@ def test_enumeration_is_word_lexicographic():
 
 def test_enumeration_agrees_with_independent_construction():
     ours = {p.text() for p in enumerate_partitions(6)}
-    theirs = {format_blocks(blocks) for blocks in oracles.all_partitions(6)}
+    theirs = {oracles.format_blocks(blocks) for blocks in oracles.all_partitions(6)}
     assert ours == theirs
 
 

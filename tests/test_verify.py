@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from setpart import bijections, core, motzkin, stats, verify
+from setpart import bijections, cli, core, motzkin, stats, verify
 from setpart.qseries import QPolynomial, generating_function, q_stirling
 from setpart.core import PartitionError, enumerate_partitions
 from setpart.verify import (
@@ -16,7 +16,6 @@ from setpart.verify import (
     bell_number,
     family_size,
     mak_histograms,
-    run_all,
     run_suite,
     stirling2,
     suite_size,
@@ -237,10 +236,15 @@ def test_theorem3_recurrence_reads_the_mak_dp(monkeypatch):
     )
 
 
-def test_run_all_covers_every_suite():
-    reports = run_all(n_max=4)
-    assert [r.suite for r in reports] == list(SUITE_NAMES)
-    assert all(r.passed for r in reports)
+def test_verify_all_covers_every_suite(capsys):
+    code = cli.main(["verify", "all", "--n-max", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.removeprefix("suite: ") for line in lines if line.startswith("suite: ")] == list(
+        SUITE_NAMES
+    )
+    assert lines.count("n_max: 4") == 10
+    assert lines.count("result: PASS") == 10
 
 
 def test_mak_histograms_match_both_routes():
