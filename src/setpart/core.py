@@ -3,8 +3,8 @@ Representations of set partitions of [n] = {1, ..., n}.
 
 A partition is stored as its block-index word w, where w_i is the
 block that holds i.  The base class ``Partition`` holds the word and
-reads off it the block view, ``n``, ``k`` and the text; it has no public
-constructor.  Two kinds of objects derive from it:
+reads off it the block view, ``n``, ``k``, the block masks and the text;
+it has no public constructor.  Two kinds of objects derive from it:
 
 - SetPartition: blocks listed in increasing order of their minima (the
   canonical order), so its word is a restricted growth word.
@@ -42,11 +42,23 @@ l_i is its length before element i, and gamma_i is one plus the
 position of i's block in it.  An opener or singleton starts a new
 rightmost block, a closer leaves the list.
 
-Partitions are immutable, so each object computes its classification,
-its trace profile and its block count ``k`` once, on first request, and
-keeps them in its instance dict next to the cached ``blocks`` view
-(``_memo``); they live exactly as long as the object and take no part in
-equality or hashing; the first two are named tuples.
+Partitions are immutable, so each object computes a view once, on first
+request, and keeps it in its instance dict: ``blocks``, ``k`` and
+``masks`` (one int per block, with bit i - 1 set for each element i)
+through ``_cached``, the classification and the trace profile (named
+tuples) through ``_memo``.  Views live exactly as long as the object and
+take no part in equality or hashing.
+
+``enumerate_partitions`` steps from word to word in lexicographic order
+(Knuth, TAOCP 4A, 7.2.1.5, Algorithm H).  It keeps the prefix maxima
+tops[i] = max(w[:i]); the next word raises the rightmost position i >= 1
+whose letter is below min(tops[i] + 1, k) and refills the suffix after it
+with its smallest completion, 1s and then the ramp up to k (all 1s
+without k); the last position takes each of its letters in turn.  Each
+partition is built with its word and ``k`` in one store.
+``enumerate_ordered`` relabels the word through each block permutation,
+old block b becoming its position in the permutation, and stores ``k``
+and the permuted ``blocks`` and ``masks`` with it.
 
 Validation happens at the boundary only: the public constructors
 (``SetPartition(word)``, ``SetPartition.from_blocks`` and
@@ -57,10 +69,9 @@ last and returns every element's block position.  ``from_blocks``
 numbers those positions in order of first occurrence, which gives the
 word.  ``OrderedSetPartition`` keeps those positions as its word, and
 ``canonical`` numbers that checked word the same way, with no second
-block check.  Words that this module builds valid (enumeration,
-``from_blocks``, ``canonical`` and the block permutations of
-``enumerate_ordered``) go through the private ``Partition._trusted``
-without a second check.
+block check.  Words that this module builds valid go through the
+private ``Partition._trusted``, or for the enumerators the same store
+inline, without a second check.
 """
 
 from __future__ import annotations
@@ -209,6 +220,15 @@ class Partition:
     @_cached
     def k(self) -> int:
         return max(self.word, default=0)
+
+    @_cached
+    def masks(self) -> tuple[int, ...]:
+        """One int per block, in block order, with bit i - 1 set for each
+        of its elements i."""
+        masks = [0] * self.k
+        for i, letter in enumerate(self.word):
+            masks[letter - 1] |= 1 << i
+        return tuple(masks)
 
     def text(self) -> str:
         parts: list[list[str]] = [[] for _ in range(self.k)]
@@ -416,52 +436,68 @@ def _trace_pass(p: SetPartition) -> TraceProfile:
     return TraceProfile(tuple(kinds), tuple(ls), tuple(gammas))
 
 
-def _rgf_words(n: int, k: int | None) -> Iterator[tuple[int, ...]]:
+def _rgf_words(n: int, k: int | None) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each restricted growth word of length n (with top letter k if
+    given) with its top letter, in lexicographic order, by successor
+    steps: see the module docstring."""
     if n == 0:
-        if k is None or k == 0:
-            yield ()
+        if not k:
+            yield (), 0
         return
     if k is not None and not 1 <= k <= n:
         return
-    word = [0] * n
-
-    def rec(i: int, top: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if k is None or top == k:
-                yield tuple(word)
+    last = n - 1
+    word, tops = [0] * n, [0] * n  # tops[i] = max(word[:i])
+    i, letter = 0, 1  # the first word raises position 0 from 0
+    while True:
+        word[i] = letter
+        t = tops[i] if tops[i] > letter else letter
+        ramp = n - (t if k is None else k) + t  # where the ramp t + 1..k starts
+        for j in range(i + 1, n):
+            tops[j] = t
+            if j < ramp:
+                word[j] = 1
+            else:
+                t += 1
+                word[j] = t
+        t = tops[last]
+        for letter in range(word[last], (k or t + 1) + 1):
+            word[last] = letter
+            yield tuple(word), k or (letter if letter > t else t)
+        i = last - 1
+        while i > 0 and (word[i] > tops[i] or word[i] == k):
+            i -= 1
+        if i <= 0:
             return
-        limit = top + 1
-        if k is not None:
-            limit = min(limit, k)
-        for letter in range(1, limit + 1):
-            new_top = top if letter <= top else letter
-            if k is not None and new_top + (n - i - 1) < k:
-                continue
-            word[i] = letter
-            yield from rec(i + 1, new_top)
-
-    yield from rec(0, 0)
+        letter = word[i] + 1
 
 
 def enumerate_partitions(n: int, k: int | None = None) -> Iterator[SetPartition]:
     """All partitions of [n] (into k blocks if given), in lexicographic
-    order of their restricted growth words.
+    order of their restricted growth words, each built with its ``k``.
 
     k > n or (k = 0 and n > 0) give an empty stream.
     """
     if n < 0 or (k is not None and k < 0):
         raise PartitionError("n and k must be non-negative")
-    for word in _rgf_words(n, k):
-        yield SetPartition._trusted(word)
+    new = object.__new__
+    for word, top in _rgf_words(n, k):
+        p = new(SetPartition)
+        p.__dict__.update(word=word, k=top)  # the word and the known k in one store
+        yield p
 
 
 def enumerate_ordered(n: int, k: int | None = None) -> Iterator[OrderedSetPartition]:
     """All ordered partitions of [n]: canonical partitions in word order,
-    each expanded through its block permutations in lexicographic order."""
+    each expanded through its block permutations in lexicographic order,
+    each built with its ``k``, ``blocks`` and ``masks``."""
+    new = object.__new__
     for p in enumerate_partitions(n, k):
-        word, labels = p.word, range(1, p.k + 1)
-        for perm, blocks in zip(itertools.permutations(labels), itertools.permutations(p.blocks)):
-            place = dict(zip(perm, labels))  # old block index -> new one
-            op = OrderedSetPartition._trusted(tuple(map(place.__getitem__, word)))
-            op.__dict__["blocks"] = blocks
+        word, top = p.word, p.k
+        perms = itertools.permutations(range(1, top + 1))
+        views = zip(perms, itertools.permutations(p.blocks), itertools.permutations(p.masks))
+        for perm, blocks, masks in views:
+            place = ((0,) + perm).index  # old block index -> its position in the new order
+            op = new(OrderedSetPartition)
+            op.__dict__.update(word=tuple(map(place, word)), k=top, blocks=blocks, masks=masks)
             yield op

@@ -27,10 +27,16 @@ h+1".  Decoding the reflection of the encoding of p gives exactly
 Validation happens at the boundary only: the ``LabeledMotzkinPath``
 constructor, ``parse``, ``from_json_dict`` and ``reflect`` check every
 step.  ``encode`` builds its path from a trace profile, and
-``enumerate_paths`` from a recursion that only takes steps a valid path
-can take; both are valid by construction and go through the private
+``enumerate_paths`` by steps after which the path can still return to 0;
+both are valid by construction and go through the private
 ``LabeledMotzkinPath._trusted``.  ``decode`` trusts its path, checked or
 built valid when it was made.
+
+``enumerate_paths`` numbers the choices of a step leaving height h as
+SE(1..h), E(1..h), E(1*), NE, and lists the paths in lexicographic order
+of their choice indices: the next path raises the rightmost step that
+has a next valid choice and refills the steps after it with SE(1) down
+to height 0, then E(1*).
 
 A ``Step`` is a named tuple (kind, label, starred), so a step equals
 the plain tuple of its fields.  The passes read steps by unpacking or
@@ -270,40 +276,39 @@ def phi_via_paths(p: SetPartition) -> SetPartition:
 
 
 def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
-    """All valid labeled paths of length n (count: Bell number)."""
+    """All valid labeled paths of length n (count: Bell number), by the
+    successor step in the module docstring."""
     if n < 0:
         raise PathError("path length must be non-negative")
-    steps: list[Step] = []
     # The SE and E steps of labels 1, 2, ..., made once; heights stay <= n / 2.
     se = [Step(SE, g) for g in range(1, n // 2 + 1)]
     e = [Step(E, g) for g in range(1, n // 2 + 1)]
-
-    def rec(i: int, h: int) -> Iterator[LabeledMotzkinPath]:
-        if i == n:
-            if h == 0:
-                yield LabeledMotzkinPath._trusted(tuple(steps))
+    # options[h]: the steps leaving height h in choice order, each with the height it reaches
+    options = [
+        [*((s, h - 1) for s in se[:h]), *((s, h) for s in e[:h]), (_E1_STAR, h), (_NE1, h + 1)]
+        for h in range(n // 2 + 1)
+    ]
+    last = n - 1
+    steps = [_E1_STAR] * n
+    # per step: the height before it, its choice index and its last valid one
+    heights, choices, limits = [0] * n, [0] * n, [0] * n
+    i = h = 0  # refill from step i, leaving height h
+    while True:
+        for j in range(i, n):
+            rem = last - j  # steps after this one
+            heights[j], choices[j] = h, 0
+            # only SE when every later step must descend; NE while a later one can close it
+            limits[j] = h - 1 if h > rem else 2 * h + (h < rem)
+            steps[j], h = options[h][0]
+        yield LabeledMotzkinPath._trusted(tuple(steps))
+        i = last
+        while i >= 0 and choices[i] == limits[i]:
+            i -= 1
+        if i < 0:
             return
-        rem = n - i - 1  # steps after this one
-        if h >= 1:
-            for step in se[:h]:
-                steps.append(step)
-                yield from rec(i + 1, h - 1)
-                steps.pop()
-            if h <= rem:
-                for step in e[:h]:
-                    steps.append(step)
-                    yield from rec(i + 1, h)
-                    steps.pop()
-        if h <= rem:
-            steps.append(_E1_STAR)
-            yield from rec(i + 1, h)
-            steps.pop()
-        if h + 1 <= rem:
-            steps.append(_NE1)
-            yield from rec(i + 1, h + 1)
-            steps.pop()
-
-    yield from rec(0, 0)
+        c = choices[i] = choices[i] + 1
+        steps[i], h = options[heights[i]][c]
+        i += 1
 
 
 def ascii_art(path: LabeledMotzkinPath) -> str:

@@ -23,8 +23,9 @@ On canonically ordered blocks lob vanishes, mak = lmakp and makp = lmak
 pointwise, and the generating function of each over the partitions of
 [n] into k blocks is the q-Stirling number S_q(n, k).
 
-``coord_sums_all`` finds all eight sums from one int bitmask per block
-(bit i - 1 for element i), filled in one pass over w.  Grouped by the
+``coord_sums_all`` finds all eight sums from the partition's cached
+block masks (``core.Partition.masks``, bit i - 1 for element i, which
+``core.enumerate_ordered`` seeds).  Grouped by the
 reference element j, each sum adds one popcount per block: walking the
 blocks in index order, with left (right) the union of the earlier
 (later) blocks' masks and o and f the block's opener and closer (its
@@ -46,7 +47,7 @@ Element-level inversion counts, for b in block j:
 
 mak_l adjusts mak by the closer of the l-th block:
 mak_l = mak - nrinv(max(B_l)) + k - l, so mak_k = mak.  ``mak_ls`` gives
-all k of them from one pass over the block bitmasks, kept per object.
+all k of them from one pass over the same block masks, kept per object.
 
 For a partition with k+1 blocks, stat_i = k - rinv(F) - nrinv(max(B_i))
 may be negative; its rinv(F) term is summed once per object.
@@ -102,17 +103,18 @@ def coord_stat(p: Partition, kind: CoordKind, i: int) -> int:
     """The per-element coordinate count for element i."""
     if not 1 <= i <= p.n:
         raise PartitionError(f"element {i} outside 1..{p.n}")
+    side, reference, comparison = kind.value
     cls = classify(p)
     w = p.word
     wi = w[i - 1]
     total = 0
-    for j in cls.openers if kind.reference == "opener" else cls.closers:
-        if (j < i) != (kind.comparison == "smaller"):
+    for j in cls.openers if reference == "opener" else cls.closers:
+        if (j < i) != (comparison == "smaller"):
             continue
         if j == i:
             continue
         wj = w[j - 1]
-        if kind.side == "right":
+        if side == "right":
             total += wj > wi
         else:
             total += wj < wi
@@ -123,21 +125,11 @@ def coord_sum(p: Partition, kind: CoordKind) -> int:
     return sum(coord_stat(p, kind, i) for i in range(1, p.n + 1))
 
 
-def _block_masks(p: Partition) -> list[int]:
-    """One int per block, in block order, with bit i - 1 set for each of
-    its elements i."""
-    masks = [0] * p.k
-    for i, b in enumerate(p.word):
-        masks[b - 1] |= 1 << i  # element i + 1 sits at bit i
-    return masks
-
-
 def _coord_pass(p: Partition) -> tuple[int, int, int, int, int, int, int, int]:
-    """The eight coordinate sums in ``CoordKind`` order, from one element
-    bitmask per block."""
+    """The eight coordinate sums in ``CoordKind`` order, from the block masks."""
     left, right = 0, (1 << p.n) - 1  # elements of earlier / later blocks
     ros = rob = rcs = rcb = los = lob = lcs = lcb = 0
-    for m in _block_masks(p):
+    for m in p.masks:
         right ^= m
         o = (m & -m).bit_length()  # the opener
         f = m.bit_length()  # the closer
@@ -239,7 +231,7 @@ def _mak_ls_pass(p: SetPartition) -> tuple[int, ...]:
     shifted = mak(p) + p.k
     right = (1 << p.n) - 1  # elements of later blocks
     out = []
-    for l, m in enumerate(_block_masks(p), start=1):
+    for l, m in enumerate(p.masks, start=1):
         right ^= m
         out.append(shifted - (right >> m.bit_length()).bit_count() - l)
     return tuple(out)

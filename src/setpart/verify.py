@@ -285,9 +285,10 @@ def _each(
     partition's text."""
     failures = []
     cases = 0
-    for p in core.enumerate_ordered(n, k) if ordered else core.enumerate_partitions(n, k):
-        cases += 1
-        failures += [(p.text(), expected, actual) for expected, actual in check(p)]
+    family = core.enumerate_ordered(n, k) if ordered else core.enumerate_partitions(n, k)
+    for cases, p in enumerate(family, 1):
+        for expected, actual in check(p):
+            failures.append((p.text(), expected, actual))
     return cases, failures, {f"{label}n={n}" + ("" if k is None else f",k={k}"): cases}
 
 
@@ -525,11 +526,10 @@ def _motzkin_count_cell(n: int) -> CellResult:
     failures = []
     total = 0
     by_k: Counter[int] = Counter()
-    for path in motzkin.enumerate_paths(n):
-        total += 1
-        # only E steps may be starred
-        openings = sum(1 for s in path.steps if s.kind == motzkin.NE or s.starred)
-        by_k[openings] += 1
+    for total, path in enumerate(motzkin.enumerate_paths(n), 1):
+        # an opening is an NE(1) or an E(1*) step
+        steps = path.steps
+        by_k[steps.count(motzkin._NE1) + steps.count(motzkin._E1_STAR)] += 1
     want = bell_number(n)
     if total != want:
         failures.append((f"paths of length {n}", str(want), str(total)))

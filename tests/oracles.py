@@ -6,15 +6,21 @@ straight from its set-theoretic definition, quadratically or worse.  No
 function imports the scan implementations under test, so agreement is a
 genuine cross-check rather than the same code run twice.
 
-The one exception is ``rebuild_from_profile``: a copy of the library's
-former profile rebuild, which ``motzkin.decode`` and the image pass of
-``bijections.phi_certificate`` replaced.  It keeps every check it had
-and hands its word to the checked ``SetPartition`` constructor.
+The exceptions are copies of library code that faster code replaced:
+``rebuild_from_profile``, the former profile rebuild, which
+``motzkin.decode`` and the image pass of ``bijections.phi_certificate``
+replaced (it keeps every check it had and hands its word to the checked
+``SetPartition`` constructor), and the former recursive enumerators
+``_rgf_words`` and ``enumerate_paths``, which the successor steps of
+``core._rgf_words`` and ``motzkin.enumerate_paths`` replaced.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from setpart.core import CLOSER, OPENER, SINGLETON, SetPartition
+from setpart.motzkin import _E1_STAR, _NE1, E, SE, LabeledMotzkinPath, PathError, Step
 
 
 def word_of(blocks):
@@ -233,6 +239,70 @@ def rebuild_from_profile(kinds, gamma):
     if incomplete:
         raise ProfileError("profile ends with unclosed blocks")
     return SetPartition(tuple(word))
+
+
+def _rgf_words(n: int, k: int | None) -> Iterator[tuple[int, ...]]:
+    if n == 0:
+        if k is None or k == 0:
+            yield ()
+        return
+    if k is not None and not 1 <= k <= n:
+        return
+    word = [0] * n
+
+    def rec(i: int, top: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            if k is None or top == k:
+                yield tuple(word)
+            return
+        limit = top + 1
+        if k is not None:
+            limit = min(limit, k)
+        for letter in range(1, limit + 1):
+            new_top = top if letter <= top else letter
+            if k is not None and new_top + (n - i - 1) < k:
+                continue
+            word[i] = letter
+            yield from rec(i + 1, new_top)
+
+    yield from rec(0, 0)
+
+
+def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
+    """All valid labeled paths of length n (count: Bell number)."""
+    if n < 0:
+        raise PathError("path length must be non-negative")
+    steps: list[Step] = []
+    # The SE and E steps of labels 1, 2, ..., made once; heights stay <= n / 2.
+    se = [Step(SE, g) for g in range(1, n // 2 + 1)]
+    e = [Step(E, g) for g in range(1, n // 2 + 1)]
+
+    def rec(i: int, h: int) -> Iterator[LabeledMotzkinPath]:
+        if i == n:
+            if h == 0:
+                yield LabeledMotzkinPath._trusted(tuple(steps))
+            return
+        rem = n - i - 1  # steps after this one
+        if h >= 1:
+            for step in se[:h]:
+                steps.append(step)
+                yield from rec(i + 1, h - 1)
+                steps.pop()
+            if h <= rem:
+                for step in e[:h]:
+                    steps.append(step)
+                    yield from rec(i + 1, h)
+                    steps.pop()
+        if h <= rem:
+            steps.append(_E1_STAR)
+            yield from rec(i + 1, h)
+            steps.pop()
+        if h + 1 <= rem:
+            steps.append(_NE1)
+            yield from rec(i + 1, h + 1)
+            steps.pop()
+
+    yield from rec(0, 0)
 
 
 def all_partitions(n):

@@ -613,6 +613,26 @@ def test_ordered_partition_stdout_equals_the_golden_file(capsys):
     assert ordered_transcript(stdout_of) == expected
 
 
+def enumerate_transcript(stdout_of) -> str:
+    """Canonical enumeration at every size up to 6, one fixed k, k = 0 and
+    two JSON forms, as ``$ setpart ARGS`` lines each followed by the
+    command's stdout; ``stdout_of(args)`` runs one command."""
+    commands = [["enumerate", "-n", str(n)] for n in range(7)]
+    commands += [["enumerate", "-n", "8", "-k", "3"], ["enumerate", "-n", "7", "-k", "0"]]
+    commands += [["enumerate", "-n", "5", "--json"], ["enumerate", "-n", "6", "-k", "4", "--json"]]
+    return "".join(f"$ setpart {shlex.join(args)}\n{stdout_of(args)}" for args in commands)
+
+
+def test_canonical_enumeration_stdout_equals_the_golden_file(capsys):
+    def stdout_of(args):
+        code, out, err = run(args, capsys)
+        assert (code, err) == (0, ""), args
+        return out
+
+    expected = (GOLDEN / "enumerate.txt").read_text()
+    assert enumerate_transcript(stdout_of) == expected
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------

@@ -317,15 +317,29 @@ def test_trusted_sites_build_valid_words():
             assert q == p and hash(q) == hash(p)
 
 
+def _masks_of(word):
+    """One mask per block of ``word``, element by element: bit i - 1 of
+    block b's mask is set when element i sits in block b."""
+    masks = [0] * max(word, default=0)
+    for i in range(1, len(word) + 1):
+        masks[word[i - 1] - 1] += 2 ** (i - 1)
+    return tuple(masks)
+
+
 def test_trusted_ordered_enumeration_builds_valid_blocks():
     # enumerate_ordered skips _validate_blocks: every block tuple it
-    # yields must pass it unchanged
+    # yields must pass it unchanged, and the views it seeds must equal
+    # those the checked constructor computes
     for n in range(7):
         for op in enumerate_ordered(n):
             assert type(op.blocks) is tuple
             assert all(type(block) is tuple for block in op.blocks)
             assert core._validate_blocks(op.blocks)[0] == [list(block) for block in op.blocks]
-            assert op == OrderedSetPartition(op.blocks)
+            assert {"k", "blocks", "masks"} <= op.__dict__.keys()
+            fresh = OrderedSetPartition(op.blocks)
+            assert op == fresh
+            assert op.k == fresh.k == max(op.word, default=0)
+            assert op.masks == fresh.masks == _masks_of(op.word)
 
 
 def _given_ordered_blocks():
@@ -423,6 +437,21 @@ def test_enumeration_edge_cases():
     assert list(enumerate_partitions(2, 5)) == []
     with pytest.raises(PartitionError):
         next(enumerate_partitions(-1))
+
+
+def test_successor_enumeration_equals_the_recursive_oracle():
+    for n in range(10):
+        for k in (None, *range(n + 2)):
+            assert [word for word, _ in core._rgf_words(n, k)] == list(oracles._rgf_words(n, k))
+
+
+def test_enumeration_seeds_k_and_masks_equal_their_oracle():
+    for n in range(9):
+        for k in (None, *range(n + 1)):
+            for p in enumerate_partitions(n, k):
+                assert "k" in p.__dict__
+                assert p.k == max(p.word, default=0)
+                assert p.masks == _masks_of(p.word)
 
 
 def test_ordered_enumeration_counts():

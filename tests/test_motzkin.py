@@ -214,6 +214,13 @@ def test_path_counts():
             assert by_k.get(k, 0) == oracles.stirling(n, k)
 
 
+def test_successor_enumeration_equals_the_recursive_oracle():
+    for n in range(11):
+        paths = list(enumerate_paths(n))
+        assert [path.steps for path in paths] == [path.steps for path in oracles.enumerate_paths(n)]
+        assert _one_object_per_step(paths)
+
+
 def test_every_path_decodes_to_a_distinct_partition():
     for n in range(7):
         images = [decode(path) for path in enumerate_paths(n)]
