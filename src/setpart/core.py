@@ -47,7 +47,10 @@ request, and keeps it in its instance dict: ``blocks``, ``k`` and
 ``masks`` (one int per block, with bit i - 1 set for each element i)
 through ``_cached``, the classification and the trace profile (named
 tuples) through ``_memo``.  Views live exactly as long as the object and
-take no part in equality or hashing.
+take no part in equality or hashing.  Atoms indexed by a small int
+are shared by the process: ``_growing(make)`` gives ``upto(top)``, a
+tuple t with t[i] == make(i) for i <= top, built on first use and never
+changed, only replaced by a longer one.  ``text`` reads element names so.
 
 ``enumerate_partitions`` steps from word to word in lexicographic order
 (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H).  It keeps the prefix maxima
@@ -105,6 +108,26 @@ class _cached:
             return self
         value = obj.__dict__[self.name] = self.compute(obj)
         return value
+
+
+def _growing(make: Callable[[int], _T]) -> Callable[[int], tuple[_T, ...]]:
+    """``upto(top)``: a shared tuple t with t[i] == make(i) for i <= top.
+    A short one is replaced by one at least twice as long, never changed,
+    so a caller may read its tuple while another one grows the table."""
+    table: tuple[_T, ...] = ()
+
+    def upto(top: int) -> tuple[_T, ...]:
+        nonlocal table
+        t = table
+        if top >= len(t):
+            t = table = tuple(map(make, range(max(top + 1, 2 * len(t)))))
+        return t
+
+    return upto
+
+
+# The decimal name of each element, for ``text``.
+_names = _growing(str)
 
 
 class PartitionError(ValueError):
@@ -231,9 +254,10 @@ class Partition:
         return tuple(masks)
 
     def text(self) -> str:
+        names = _names(self.n)
         parts: list[list[str]] = [[] for _ in range(self.k)]
         for i, letter in enumerate(self.word, start=1):
-            parts[letter - 1].append(str(i))
+            parts[letter - 1].append(names[i])
         return "/".join(map(",".join, parts))
 
     def __str__(self) -> str:

@@ -42,8 +42,11 @@ A ``Step`` is a named tuple (kind, label, starred), so a step equals
 the plain tuple of its fields.  The passes read steps by unpacking or
 index and compare kinds with ``==``, never ``is``: parsed and JSON
 steps carry kind strings of their own.  Equal steps are shared:
-``encode`` and ``enumerate_paths`` make each (kind, label) step once per
-call, and ``reflect`` reuses the first input SE step of each label.
+``encode`` and ``enumerate_paths`` read the SE and plain E step of each
+label from two process-wide tables (``core._growing``) that they grow to
+n // 2, the greatest height at length n; ``reflect`` reuses the first
+input SE step of each label.  ``parse``, ``from_json_dict`` and
+``reflect`` never touch the tables, so no unchecked label can grow them.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .core import CLOSER, OPENER, SINGLETON
-from .core import SetPartition, trace_profile
+from .core import SetPartition, _growing, trace_profile
 
 NE, SE, E = "NE", "SE", "E"
 _KINDS = (NE, SE, E)
@@ -187,27 +190,24 @@ class LabeledMotzkinPath:
 # Every opener and singleton step is the same; steps are immutable.
 _NE1 = Step(NE, 1)
 _E1_STAR = Step(E, 1, starred=True)
+# The SE and the plain E step of each label g, at index g.
+_se_steps = _growing(lambda g: Step(SE, g))
+_e_steps = _growing(lambda g: Step(E, g))
 
 
 def encode(p: SetPartition) -> LabeledMotzkinPath:
     """The labeled path of a canonical partition."""
     profile = trace_profile(p)
-    # The SE and E step of each label, made on first use; labels run from
-    # 1 to the height, which is at most n / 2.
-    size = p.n // 2 + 1
-    se, e = [None] * size, [None] * size
+    # labels run from 1 to the height, which is at most n / 2
+    se, e = _se_steps(p.n // 2), _e_steps(p.n // 2)
     steps = []
     for kind, g in zip(profile.kinds, profile.gamma):
         if kind is OPENER:
-            step = _NE1
+            steps.append(_NE1)
         elif kind is SINGLETON:
-            step = _E1_STAR
+            steps.append(_E1_STAR)
         else:
-            made = se if kind is CLOSER else e
-            step = made[g]
-            if step is None:
-                step = made[g] = Step(SE if kind is CLOSER else E, g)
-        steps.append(step)
+            steps.append(se[g] if kind is CLOSER else e[g])
     return LabeledMotzkinPath._trusted(tuple(steps))
 
 
@@ -280,12 +280,11 @@ def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
     successor step in the module docstring."""
     if n < 0:
         raise PathError("path length must be non-negative")
-    # The SE and E steps of labels 1, 2, ..., made once; heights stay <= n / 2.
-    se = [Step(SE, g) for g in range(1, n // 2 + 1)]
-    e = [Step(E, g) for g in range(1, n // 2 + 1)]
+    se, e = _se_steps(n // 2), _e_steps(n // 2)  # heights stay <= n / 2
     # options[h]: the steps leaving height h in choice order, each with the height it reaches
     options = [
-        [*((s, h - 1) for s in se[:h]), *((s, h) for s in e[:h]), (_E1_STAR, h), (_NE1, h + 1)]
+        [*((s, h - 1) for s in se[1 : h + 1]), *((s, h) for s in e[1 : h + 1]),
+         (_E1_STAR, h), (_NE1, h + 1)]
         for h in range(n // 2 + 1)
     ]
     last = n - 1

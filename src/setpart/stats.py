@@ -255,29 +255,25 @@ def stat_i(p: SetPartition, i: int) -> int:
     return k - _memo(p, "_rinv_closers", rinv_closers) - nrinv(closer, p)
 
 
-def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return a[0] > b[-1]
-
-
 def bmaj(p: Partition) -> int:
-    """Sum of positions i whose block dominates its successor."""
-    blocks = p.blocks
-    return sum(
-        i
-        for i in range(1, len(blocks))
-        if _dominates(blocks[i - 1], blocks[i])
-    )
+    """Sum of positions i whose block dominates its successor: B_i > B_j
+    when the opener of B_i lies above the closer of B_j in the masks."""
+    total = above = 0  # above: the opener of the previous block
+    for i, m in enumerate(p.masks):
+        if above > m.bit_length():
+            total += i
+        above = (m & -m).bit_length()
+    return total
 
 
 def binv(p: Partition) -> int:
-    """Number of dominating pairs of blocks B_i > B_j with i < j."""
-    blocks = p.blocks
-    return sum(
-        1
-        for i in range(len(blocks))
-        for j in range(i + 1, len(blocks))
-        if _dominates(blocks[i], blocks[j])
-    )
+    """Number of dominating pairs of blocks B_i > B_j with i < j: for each
+    block, the openers of the earlier blocks above its closer."""
+    total = openers = 0  # openers: the opener bits of the blocks so far
+    for m in p.masks:
+        total += (openers >> m.bit_length()).bit_count()
+        openers |= m & -m
+    return total
 
 
 def _coord_sum_fn(kind: CoordKind) -> Callable[[Partition], int]:

@@ -384,6 +384,33 @@ def test_enumerate_ordered_equals_the_checked_constructor():
             _check_ordered(op, perm)
 
 
+def test_a_growing_table_is_replaced_and_never_changed():
+    made = []
+    upto = core._growing(lambda i: made.append(i) or (i,))
+    first = upto(3)
+    assert first == ((0,), (1,), (2,), (3,)) and upto(2) is first and upto(3) is first
+    second = upto(4)
+    assert len(second) >= 2 * len(first) and second[: len(first)] == first
+    assert first == ((0,), (1,), (2,), (3,))
+    assert all(entry == (i,) for i, entry in enumerate(second))
+    # one long request builds just what it asks for, once
+    assert len(upto(100)) == 101 and upto(50) is upto(100)
+    assert made == [*range(4), *range(len(second)), *range(101)]
+
+
+def test_text_reads_element_names_from_a_shared_table_that_only_grows():
+    held = core._names(0)
+    copy = list(held)
+    n = 2 * len(held) + 3  # past any size the table had
+    singletons = SetPartition(range(1, n + 1))
+    assert singletons.text() == "/".join(map(str, range(1, n + 1)))
+    grown = core._names(0)
+    assert len(grown) > n and list(held) == copy and grown[: len(held)] == held
+    assert all(name == str(i) for i, name in enumerate(grown))
+    # a shorter partition does not shrink it
+    assert parse_partition("3/1,2").text() == "1,2/3" and core._names(0) is grown
+
+
 def test_partition_has_no_public_constructor():
     assert isinstance(SetPartition((1,)), core.Partition)
     assert isinstance(OrderedSetPartition([[1]]), core.Partition)

@@ -1,9 +1,11 @@
 import json
+import random
 from collections import deque
 
 import pytest
 
 import oracles
+from setpart import core, motzkin
 from setpart.bijections import phi
 from setpart.core import (
     CLOSER,
@@ -30,7 +32,7 @@ from setpart.motzkin import (
     reflect,
 )
 
-from test_core import LONG_SEEDED_WORDS, SEEDED_WORDS
+from test_core import LONG_SEEDED_WORDS, SEEDED_WORDS, seeded_word
 
 P3 = parse_partition("1,4,8/2/3,7,9/5,6")
 P3_PATH = "NE(1) E(1*) NE(1) E(1) NE(1) SE(3) E(2) SE(1) SE(1)"
@@ -104,6 +106,58 @@ def test_encode_equals_a_path_of_fresh_steps_and_shares_equal_ones():
         path = encode(p)
         assert path == _path_of_fresh_steps(p), p.text()
         assert _one_object_per_step([path]), p.text()
+
+
+def _shared_steps():
+    return motzkin._se_steps(0), motzkin._e_steps(0)
+
+
+def test_encode_reads_its_steps_from_shared_tables_that_only_grow():
+    held = _shared_steps()
+    copies = [list(table) for table in held]
+    # seeded partitions up to n = 200, the longest past any size the tables had
+    rng = random.Random(1801)
+    lengths = [rng.randint(2, 200) for _ in range(100)] + [200, 2 * len(held[0]) + 2]
+    partitions = [SetPartition(seeded_word(rng, n, rng.randint(1, n // 2))) for n in lengths]
+    for p in partitions:
+        assert encode(p) == _path_of_fresh_steps(p), p.text()
+    se, e = _shared_steps()
+    assert len(se) > len(held[0]) and len(e) > len(held[1])
+    # a table handed out earlier is never changed
+    assert [list(table) for table in held] == copies
+    assert all(step == Step(SE, g) for g, step in enumerate(se))
+    assert all(step == Step(E, g) for g, step in enumerate(e))
+    # encoded and enumerated paths hold the tables' steps; shorter ones do not shrink them
+    paths = [encode(p) for p in partitions[:20] + [P3]]
+    paths += [path for n in range(9) for path in enumerate_paths(n)]
+    for path in paths:
+        for step in path.steps:
+            if step.kind != NE and not step.starred:
+                assert step is (se if step.kind == SE else e)[step.label], path.text()
+    now = _shared_steps()
+    assert now[0] is se and now[1] is e
+
+
+def test_unchecked_labels_never_grow_the_shared_tables():
+    def sizes():
+        return len(motzkin._se_steps(0)), len(motzkin._e_steps(0)), len(core._names(0))
+
+    before = sizes()
+    huge = 10**9
+    ne, se1 = {"kind": NE, "label": 1}, {"kind": SE, "label": 1}
+    for text, steps in (
+        (f"NE(1) SE({huge})", [ne, {"kind": SE, "label": huge}]),
+        (f"NE(1) E({huge}) SE(1)", [ne, {"kind": E, "label": huge}, se1]),
+    ):
+        with pytest.raises(PathError, match=f"label {huge} outside"):
+            LabeledMotzkinPath.parse(text)
+        with pytest.raises(PathError, match=f"label {huge} outside"):
+            LabeledMotzkinPath.from_json_dict({"steps": steps})
+    unchecked = LabeledMotzkinPath._trusted((Step(NE, 1), Step(SE, huge)))
+    for route in (reflect, decode):
+        with pytest.raises(PathError, match=f"^step 2: label {huge} outside \\[1, 1\\]$"):
+            route(unchecked)
+    assert sizes() == before
 
 
 def test_reflect_is_an_involution():

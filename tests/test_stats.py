@@ -201,6 +201,20 @@ def test_block_descent_fixtures():
     assert binv(parse_ordered("2,4/1,3")) == 0
 
 
+def test_block_descents_equal_the_oracle():
+    ordered = [op for n in range(7) for op in enumerate_ordered(n)]
+    # seeded partitions up to n = 64, parsed from texts with their blocks shuffled
+    rng = random.Random(1802)
+    for word in SEEDED_WORDS + LONG_SEEDED_WORDS:
+        blocks = list(SetPartition(word).blocks)
+        rng.shuffle(blocks)
+        ordered.append(parse_ordered("/".join(",".join(map(str, b)) for b in blocks)))
+    assert len(ordered) == 5317 + 560
+    for op in ordered:
+        assert bmaj(op) == oracles.bmaj(op.blocks), op.text()
+        assert binv(op) == oracles.binv(op.blocks), op.text()
+
+
 def test_statistic_registry():
     assert set(STATISTICS) >= {
         "ros", "rob", "rcs", "rcb", "los", "lob", "lcs", "lcb",
