@@ -270,11 +270,6 @@ def reflect(path: LabeledMotzkinPath) -> LabeledMotzkinPath:
     return LabeledMotzkinPath(tuple(out))
 
 
-def phi_via_paths(p: SetPartition) -> SetPartition:
-    """decode(reflect(encode(p))): the path route to the involution."""
-    return decode(reflect(encode(p)))
-
-
 def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
     """All valid labeled paths of length n (count: Bell number), by the
     successor step in the module docstring."""

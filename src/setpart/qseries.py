@@ -245,23 +245,15 @@ def shifted_stirling(n: int, k: int) -> QPolynomial:
 
 def generating_function(
     family: Iterable[core.Partition],
-    statistic: "str | Callable[[core.Partition], int]",
+    statistic: Callable[[core.Partition], int],
 ) -> QPolynomial:
     """Sum of q^statistic over the family; zero for an empty family.
 
-    ``statistic`` is a callable or a registered statistic name (see
-    ``setpart.stats.resolve_statistic``).  A negative value aborts with
-    an error naming the witness partition.
+    A negative value aborts with an error naming the witness partition.
     """
-    if isinstance(statistic, str):
-        from . import stats
-
-        fn = stats.resolve_statistic(statistic)
-    else:
-        fn = statistic
     counts: dict[int, int] = {}
     for p in family:
-        value = fn(p)
+        value = statistic(p)
         if value < 0:
             raise ValueError(
                 f"statistic is negative ({value}) on partition {p.text()}"

@@ -35,9 +35,10 @@ those of right; O(n + k) big-int steps in all.  Each sum is counted on
 its own, never derived from the others (in particular not through
 rob + ros = k - w), so the identities above remain checks of the
 counts.  The eight sums are counted once per partition object and kept
-on it (``core._memo``) for mak, makp, lmak, lmakp and every
-``coord_sums_all`` call.  ``coord_sum`` is an independent
-element-by-element count over the (equally memoized) classification.
+on it (``core._memo`` key ``_coord_sums``) for every statistic that
+reads them.  ``coord_stat`` is the one per-element count, an
+independent loop over the (equally memoized) classification; the tests
+sum it against the pass.
 
 Element-level inversion counts, for b in block j:
 
@@ -45,12 +46,19 @@ Element-level inversion counts, for b in block j:
     nrinv(b) = #{a in later blocks  : a > b}
     linv(b)  = #{a in earlier blocks: a > b}
 
+Summed over the openers O or the closers F, each is a coordinate sum
+with the order of summation swapped, so ``linv_openers``,
+``rinv_closers`` and ``linv_closers`` read the same pass:
+
+    linv(O) = ros    rinv(F) = lcb    linv(F) = rcs.
+
 mak_l adjusts mak by the closer of the l-th block:
 mak_l = mak - nrinv(max(B_l)) + k - l, so mak_k = mak.  ``mak_ls`` gives
-all k of them from one pass over the same block masks, kept per object.
+all k of them from one pass over the same block masks, kept per object
+(key ``_mak_ls``).
 
 For a partition with k+1 blocks, stat_i = k - rinv(F) - nrinv(max(B_i))
-may be negative; its rinv(F) term is summed once per object.
+may be negative; its rinv(F) is the pass's lcb.
 
 Ordered partitions additionally carry the dominance order B > B' (every
 element of B exceeds every element of B', i.e. min(B) > max(B')), giving
@@ -86,18 +94,6 @@ class CoordKind(enum.Enum):
     LCS = ("left", "closer", "smaller")
     LCB = ("left", "closer", "bigger")
 
-    @property
-    def side(self) -> str:
-        return self.value[0]
-
-    @property
-    def reference(self) -> str:
-        return self.value[1]
-
-    @property
-    def comparison(self) -> str:
-        return self.value[2]
-
 
 def coord_stat(p: Partition, kind: CoordKind, i: int) -> int:
     """The per-element coordinate count for element i."""
@@ -119,10 +115,6 @@ def coord_stat(p: Partition, kind: CoordKind, i: int) -> int:
         else:
             total += wj < wi
     return total
-
-
-def coord_sum(p: Partition, kind: CoordKind) -> int:
-    return sum(coord_stat(p, kind, i) for i in range(1, p.n + 1))
 
 
 def _coord_pass(p: Partition) -> tuple[int, int, int, int, int, int, int, int]:
@@ -207,16 +199,19 @@ def linv(b: int, p: Partition) -> int:
     return sum(1 for a in range(b + 1, p.n + 1) if w[a - 1] < wb)
 
 
+# Swapping the order of summation: linv over the openers counts the pairs
+# (opener j, element i) with j < i and i in an earlier block, which is ros;
+# likewise rinv over the closers is lcb and linv over the closers is rcs.
 def linv_openers(p: Partition) -> int:
-    return sum(linv(b, p) for b in classify(p).openers)
+    return _memo(p, "_coord_sums", _coord_pass)[0]
 
 
 def rinv_closers(p: Partition) -> int:
-    return sum(rinv(b, p) for b in classify(p).closers)
+    return _memo(p, "_coord_sums", _coord_pass)[7]
 
 
 def linv_closers(p: Partition) -> int:
-    return sum(linv(b, p) for b in classify(p).closers)
+    return _memo(p, "_coord_sums", _coord_pass)[2]
 
 
 def mak_ls(p: SetPartition) -> tuple[int, ...]:
@@ -250,9 +245,7 @@ def stat_i(p: SetPartition, i: int) -> int:
     p = _require_canonical(p, "stat_i is defined on canonically ordered partitions only")
     if not 1 <= i <= p.k:
         raise PartitionError(f"block index {i} outside 1..{p.k}")
-    k = p.k - 1
-    closer = p.blocks[i - 1][-1]
-    return k - _memo(p, "_rinv_closers", rinv_closers) - nrinv(closer, p)
+    return p.k - 1 - rinv_closers(p) - nrinv(p.blocks[i - 1][-1], p)
 
 
 def bmaj(p: Partition) -> int:
@@ -276,19 +269,12 @@ def binv(p: Partition) -> int:
     return total
 
 
-def _coord_sum_fn(kind: CoordKind) -> Callable[[Partition], int]:
-    return lambda p: coord_sum(p, kind)
+def _coord_sum_fn(index: int) -> Callable[[Partition], int]:
+    return lambda p: _memo(p, "_coord_sums", _coord_pass)[index]
 
 
 STATISTICS: dict[str, Callable[[Partition], int]] = {
-    "ros": _coord_sum_fn(CoordKind.ROS),
-    "rob": _coord_sum_fn(CoordKind.ROB),
-    "rcs": _coord_sum_fn(CoordKind.RCS),
-    "rcb": _coord_sum_fn(CoordKind.RCB),
-    "los": _coord_sum_fn(CoordKind.LOS),
-    "lob": _coord_sum_fn(CoordKind.LOB),
-    "lcs": _coord_sum_fn(CoordKind.LCS),
-    "lcb": _coord_sum_fn(CoordKind.LCB),
+    **{kind.name.lower(): _coord_sum_fn(i) for i, kind in enumerate(CoordKind)},
     "mak": mak,
     "makp": makp,
     "lmak": lmak,

@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 
 from . import bijections, core, motzkin, stats
 from .qseries import QPolynomial, q_factorial, q_int, q_stirling
-from .stats import CoordKind
 
 
 @dataclass(frozen=True)
@@ -373,7 +372,7 @@ def _eq4(p: core.SetPartition) -> Iterator[tuple[str, str]]:
 
 
 def _los_linv(p: core.SetPartition) -> Iterator[tuple[str, str]]:
-    value = stats.coord_sum(p, CoordKind.LOS) + stats.linv_openers(p)
+    value = stats.coord_sums_all(p)[stats.CoordKind.LOS] + stats.linv_openers(p)
     expected = sum(p.n - x + 1 for x in core.classify(p).openers if x != 1)
     if value != expected:
         yield f"los + linv over openers = {expected}", str(value)

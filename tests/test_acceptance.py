@@ -160,10 +160,7 @@ def test_c10_cross_oracle_agreement():
             p = SetPartition.from_blocks(blocks)
             sums = coord_sums_all(p)
             for kind in CoordKind:
-                want_row = [
-                    oracles.coord(blocks, kind.side, kind.reference, kind.comparison, i)
-                    for i in range(1, n + 1)
-                ]
+                want_row = [oracles.coord(blocks, *kind.value, i) for i in range(1, n + 1)]
                 got_row = [coord_stat(p, kind, i) for i in range(1, n + 1)]
                 assert got_row == want_row
                 assert sums[kind] == sum(want_row)

@@ -488,6 +488,27 @@ def test_motzkin_bad_path_json(capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def assert_equals_golden(got: str, name: str) -> None:
+    """Require ``got`` to equal the golden file ``name`` exactly, failing
+    with the first differing line and both line counts: pytest's own
+    diff of two transcripts this long runs for minutes."""
+    want = (GOLDEN / name).read_text()
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    # None past the last line, so a shorter transcript differs at its end
+    line, got_line, want_line = next(
+        (i, g, w)
+        for i, (g, w) in enumerate(zip(got_lines + [None], want_lines + [None]), start=1)
+        if g != w
+    )
+    pytest.fail(
+        f"{name}: first difference at line {line}: got {got_line!r}, expected {want_line!r} "
+        f"({len(got_lines)} lines, expected {len(want_lines)})",
+        pytrace=False,
+    )
+
+
 def phi_motzkin_transcript(stdout_of) -> str:
     """Every phi and motzkin output form for the README example and 50
     seeded partitions with n <= 64, as ``$ setpart ARGS`` lines each
@@ -517,8 +538,7 @@ def test_phi_and_motzkin_stdout_equals_the_golden_file(capsys):
         assert (code, err) == (0, ""), args
         return out
 
-    expected = (GOLDEN / "phi_motzkin.txt").read_text()
-    assert phi_motzkin_transcript(stdout_of) == expected
+    assert_equals_golden(phi_motzkin_transcript(stdout_of), "phi_motzkin.txt")
 
 
 # Partition texts in shuffled block and element order, with spacing, and
@@ -563,8 +583,9 @@ def parse_boundary_transcript(run_one) -> str:
 
 
 def test_partition_text_boundary_equals_the_golden_file(capsys):
-    expected = (GOLDEN / "parse_boundary.txt").read_text()
-    assert parse_boundary_transcript(lambda args: run(args, capsys)) == expected
+    assert_equals_golden(
+        parse_boundary_transcript(lambda args: run(args, capsys)), "parse_boundary.txt"
+    )
 
 
 # Texts whose blocks are out of canonical order, so `stats` keeps them as
@@ -609,8 +630,7 @@ def test_ordered_partition_stdout_equals_the_golden_file(capsys):
         assert args[0] == "verify" or err == "", args
         return out
 
-    expected = (GOLDEN / "ordered.txt").read_text()
-    assert ordered_transcript(stdout_of) == expected
+    assert_equals_golden(ordered_transcript(stdout_of), "ordered.txt")
 
 
 def enumerate_transcript(stdout_of) -> str:
@@ -629,8 +649,7 @@ def test_canonical_enumeration_stdout_equals_the_golden_file(capsys):
         assert (code, err) == (0, ""), args
         return out
 
-    expected = (GOLDEN / "enumerate.txt").read_text()
-    assert enumerate_transcript(stdout_of) == expected
+    assert_equals_golden(enumerate_transcript(stdout_of), "enumerate.txt")
 
 
 # ----------------------------------------------------------------------

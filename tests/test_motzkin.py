@@ -28,7 +28,6 @@ from setpart.motzkin import (
     decode,
     encode,
     enumerate_paths,
-    phi_via_paths,
     reflect,
 )
 
@@ -248,7 +247,7 @@ def test_unchecked_paths_end_in_a_path_error():
 def test_path_route_matches_direct_involution():
     for n in range(7):
         for p in enumerate_partitions(n):
-            assert phi_via_paths(p) == phi(p)
+            assert decode(reflect(encode(p))) == phi(p)
 
 
 def test_path_counts():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from setpart.core import enumerate_ordered, enumerate_partitions, parse_partition
+from setpart.core import PartitionError, enumerate_ordered, enumerate_partitions, parse_partition
 from setpart.qseries import (
     QPolynomial,
     generating_function,
@@ -15,7 +15,7 @@ from setpart.qseries import (
     q_stirling,
     shifted_stirling,
 )
-from setpart.stats import mak
+from setpart.stats import mak, resolve_statistic
 
 polys = st.builds(QPolynomial, st.lists(st.integers(-9, 9), max_size=8))
 
@@ -127,11 +127,13 @@ def test_shift_and_divide():
 
 
 def test_generating_function_fixture():
-    assert generating_function(enumerate_partitions(4, 2), "mak") == q_stirling(4, 2)
+    assert generating_function(enumerate_partitions(4, 2), resolve_statistic("mak")) == q_stirling(
+        4, 2
+    )
     assert generating_function(enumerate_partitions(4, 2), mak) == q_stirling(4, 2)
-    assert generating_function([], "mak").is_zero
+    assert generating_function([], mak).is_zero
     assert generating_function(
-        enumerate_ordered(3, 2), "mak+bmaj"
+        enumerate_ordered(3, 2), resolve_statistic("mak+bmaj")
     ) == q_factorial(2) * q_stirling(3, 2)
 
 
@@ -139,8 +141,8 @@ def test_generating_function_rejects_negative_values():
     p = parse_partition("1,4,8/2/3/5,6,7,9")
     with pytest.raises(ValueError, match="1,4,8/2/3/5,6,7,9"):
         generating_function([p], lambda q: -1)
-    with pytest.raises(Exception):
-        generating_function([p], "no_such_stat")
+    with pytest.raises(PartitionError):
+        generating_function([p], resolve_statistic("no_such_stat"))
 
 
 @given(polys, polys, polys)

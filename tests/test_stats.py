@@ -21,9 +21,9 @@ from setpart.stats import (
     binv,
     bmaj,
     coord_stat,
-    coord_sum,
     coord_sums_all,
     linv,
+    linv_closers,
     linv_openers,
     lmak,
     lmakp,
@@ -55,6 +55,11 @@ P2_ROWS = {
 }
 
 
+def element_sum(p, kind):
+    # the per-element count summed over the elements: the cross-check of the pass
+    return sum(coord_stat(p, kind, i) for i in range(1, p.n + 1))
+
+
 def test_coordinate_rows_fixture():
     for kind, row in P2_ROWS.items():
         got = tuple(coord_stat(P2, kind, i) for i in P2_ORDER)
@@ -72,7 +77,7 @@ def test_coordinate_sums_fixture():
     assert sums[CoordKind.LOS] == 12
     assert sums[CoordKind.RCS] == 5
     for kind in CoordKind:
-        assert coord_sum(P2, kind) == sums[kind]
+        assert element_sum(P2, kind) == sums[kind]
 
 
 def test_mak_family_fixture():
@@ -159,23 +164,25 @@ def test_stat_i_equals_the_oracle_on_seeded_words():
             assert stat_i(p, i) == oracles.stat_i(p.blocks, i), (p.text(), i)
 
 
-def test_stat_i_sums_rinv_closers_once_per_object(monkeypatch):
+def test_stat_i_runs_the_coord_pass_once_per_object(monkeypatch):
     calls = []
-    real = stats.rinv_closers
+    kernel = stats._coord_pass
 
     def counting(p):
         calls.append(p)
-        return real(p)
+        return kernel(p)
 
-    monkeypatch.setattr(stats, "rinv_closers", counting)
+    monkeypatch.setattr(stats, "_coord_pass", counting)
     p = parse_partition("1,4,8/2/3/5,6,7,9")
     assert [stat_i(p, i) for i in (3, 4, 3)] == [-6, -2, -6]
     assert len(calls) == 1
-    # the sum is not kept for rinv_closers' own callers
-    assert stats.rinv_closers(p) == 5 and len(calls) == 2
+    # rinv(F) is the pass's lcb, kept for every reader of the same object
+    assert stats.rinv_closers(p) == 5 == coord_sums_all(p)[CoordKind.LCB]
+    assert (linv_openers(p), linv_closers(p), mak(p)) == (5, 4, 15)
+    assert len(calls) == 1
     # an equal but distinct object counts again: the memo is per object
     assert stat_i(parse_partition("1,4,8/2/3/5,6,7,9"), 4) == -2
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_single_block_and_all_singletons():
@@ -255,11 +262,26 @@ def test_pointwise_exchange_small():
 def test_linv_rinv_aggregates():
     from setpart.core import classify
 
-    for n in range(6):
+    def check(p):
+        cls = classify(p)
+        assert linv_openers(p) == sum(linv(b, p) for b in cls.openers), p.text()
+        assert rinv_closers(p) == sum(rinv(b, p) for b in cls.closers), p.text()
+        assert linv_closers(p) == sum(linv(b, p) for b in cls.closers), p.text()
+
+    for n in range(9):
         for p in enumerate_partitions(n):
-            cls = classify(p)
-            assert linv_openers(p) == sum(linv(b, p) for b in cls.openers)
-            assert rinv_closers(p) == sum(rinv(b, p) for b in cls.closers)
+            check(p)
+    for n in range(7):
+        for op in enumerate_ordered(n):
+            check(op)
+    # more than 64 blocks, as in the kernel test beyond one machine word
+    rng = random.Random(150)
+    for _ in range(4):
+        p = SetPartition(seeded_word(rng, 150, rng.randint(70, 100)))
+        shuffled = list(p.blocks)
+        rng.shuffle(shuffled)
+        check(p)
+        check(OrderedSetPartition(shuffled))
 
 
 @given(rgf_words(max_n=7))
@@ -267,10 +289,8 @@ def test_coordinates_match_literal_definitions(word):
     p = SetPartition(word)
     sums = coord_sums_all(p)
     for kind in CoordKind:
-        assert coord_sum(p, kind) == oracles.coord_sum(
-            p.blocks, kind.side, kind.reference, kind.comparison
-        )
-        assert sums[kind] == coord_sum(p, kind)
+        assert element_sum(p, kind) == oracles.coord_sum(p.blocks, *kind.value)
+        assert sums[kind] == element_sum(p, kind)
     assert mak(p) == oracles.mak(p.blocks)
     assert makp(p) == oracles.makp(p.blocks)
     assert lmak(p) == oracles.lmak(p.blocks)
@@ -284,9 +304,7 @@ def test_kernel_matches_literal_definitions_exhaustively():
         for p in enumerate_partitions(n):
             sums = stats._coord_pass(p)
             for kind, got in zip(CoordKind, sums):
-                assert got == oracles.coord_sum(
-                    p.blocks, kind.side, kind.reference, kind.comparison
-                ), (p.text(), kind)
+                assert got == oracles.coord_sum(p.blocks, *kind.value), (p.text(), kind)
 
 
 def test_coordinates_match_literal_definitions_on_ordered_partitions():
@@ -294,9 +312,7 @@ def test_coordinates_match_literal_definitions_on_ordered_partitions():
         for op in enumerate_ordered(n):
             sums = coord_sums_all(op)
             for kind in CoordKind:
-                assert sums[kind] == oracles.coord_sum(
-                    op.blocks, kind.side, kind.reference, kind.comparison
-                ), (op.text(), kind)
+                assert sums[kind] == oracles.coord_sum(op.blocks, *kind.value), (op.text(), kind)
 
 
 def test_coord_sums_all_returns_a_fresh_dict():
@@ -341,6 +357,4 @@ def test_kernel_matches_literal_definitions_beyond_one_machine_word():
         for q in (p, OrderedSetPartition(shuffled)):
             sums = coord_sums_all(q)
             for kind in CoordKind:
-                assert sums[kind] == oracles.coord_sum(
-                    q.blocks, kind.side, kind.reference, kind.comparison
-                ), (word, kind)
+                assert sums[kind] == oracles.coord_sum(q.blocks, *kind.value), (word, kind)

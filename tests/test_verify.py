@@ -164,6 +164,23 @@ def test_distribution_suites_print_the_faulty_polynomial(name, monkeypatch):
         assert line in lines
 
 
+def test_eq4_prints_the_summed_identity_witness(monkeypatch):
+    # every l one too high: each summed identity is off by n
+    module, attr, faulty = _FAULTS["eq4"]
+    monkeypatch.setattr(module, attr, faulty)
+    lines = run_suite("eq4", n_max=3, threads=1, max_witnesses=100).render_text().splitlines()
+    assert [line for line in lines if "summed" in line] == [
+        "FAIL 1: expected summed identity nk = 1, got 2",
+        "FAIL 1,2: expected summed identity nk = 2, got 4",
+        "FAIL 1/2: expected summed identity nk = 4, got 6",
+        "FAIL 1,2,3: expected summed identity nk = 3, got 6",
+        "FAIL 1,2/3: expected summed identity nk = 6, got 9",
+        "FAIL 1,3/2: expected summed identity nk = 6, got 9",
+        "FAIL 1/2,3: expected summed identity nk = 6, got 9",
+        "FAIL 1/2/3: expected summed identity nk = 9, got 12",
+    ]
+
+
 def _oldest_first_reflect(path):
     # reflect with each SE step closing the oldest open NE step, not the newest
     out, opened = list(path.steps), []
@@ -254,7 +271,7 @@ def test_mak_histograms_match_both_routes():
         assert sorted(hists) == ks
         for k in ks:
             sweep = QPolynomial(hists[k])
-            slow = generating_function(enumerate_partitions(n, k), "mak")
+            slow = generating_function(enumerate_partitions(n, k), stats.mak)
             assert sweep == slow
             assert sweep.to_dict() == oracles.q_stirling_dict(n, k)
 
@@ -268,7 +285,7 @@ def test_mak_dp_matches_enumeration_for_every_k():
     for n in range(9):
         hists = mak_histograms(n)
         for k in range(n + 1):
-            slow = generating_function(enumerate_partitions(n, k), "mak")
+            slow = generating_function(enumerate_partitions(n, k), stats.mak)
             assert QPolynomial(hists.get(k, [])) == slow, (n, k)
 
 
