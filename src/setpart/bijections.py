@@ -10,10 +10,10 @@ matched to a by level.  The same pass writes the image's word: an
 image opener or singleton opens a new rightmost block, an image closer
 or passant joins the gamma-th incomplete block from the left, a closer
 sealing it, and ``classify`` must find in that word the roles the pass
-wrote.  It also files every element into its certificate row (the
-image's four role rows, the source's closer and passant rows), so no
-row is scanned for afterwards.  The certificate and its rows are named
-tuples.
+wrote.  It also files every image element into its role row, once; the
+source's closer and passant rows are the mirrors of the image's opener
+and passant rows, so no row is filed twice or scanned for afterwards.
+The certificate and its rows are named tuples.
 
 The level matching is load-bearing, not a tie-break.  Opener a sits at
 trace level l_a, its matched closer at level l_a + 1, and the mirrored
@@ -24,7 +24,10 @@ can demand an impossible insertion (smallest failures at n = 6).
 
 ``phi_i`` exchanges material between blocks i and i+1 while preserving
 the set of block minima; on a partition with k+1 blocks it shifts
-stat_i by one: stat_i(p) = stat_{i+1}(phi_i(p)) - 1.
+stat_i by one: stat_i(p) = stat_{i+1}(phi_i(p)) - 1.  It writes its
+image word by swapping the letters i and i+1 of the moved elements; the
+minima must keep their positions and letters, so the word stays a
+restricted growth word.
 
 ``match_openers_closers`` pairs each non-singleton opener a with the
 smallest unused non-singleton closer at trace level l_a + 1, witnessing
@@ -96,19 +99,16 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
     # right.  The mirror of a source opener takes the gamma of the closer
     # pushed last onto ``pending``, the one matched to it by level, and
     # joins the incomplete block that gamma names.  The same pass files
-    # each element into its row: image element b into the image rows
-    # (ascending), source element a into the source closer and passant
-    # rows (descending until reversed below).
+    # each image element b into its image row (ascending); the source
+    # closers and passants are the mirrors n + 1 - b of the image openers
+    # and passants, so their rows are read off those at the end.
     word, incomplete, pending = [], [], []  # incomplete: the image's, ascending
     singles, openers, closers, closer_g, passants, passant_g = [], [], [], [], [], []
-    source_f, source_f_g, source_p = [], [], []
+    source_f_g = []  # the source closers' gammas, descending by element
     top = 0
     n = p.n
-    for a, b, kind, g in zip(
-        range(n, 0, -1), range(1, n + 1), reversed(profile.kinds), reversed(profile.gamma)
-    ):
+    for b, kind, g in zip(range(1, n + 1), reversed(profile.kinds), reversed(profile.gamma)):
         if kind is CLOSER:  # an image opener
-            source_f.append(a)
             source_f_g.append(g)
             pending.append(g)
             openers.append(b)
@@ -126,7 +126,6 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
             closers.append(b)
             closer_g.append(g)
         else:  # a passant keeps its gamma
-            source_p.append(a)
             passants.append(b)
             passant_g.append(g)
         if not 1 <= g <= len(incomplete):
@@ -149,8 +148,8 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
         found.passants,
     ):
         raise ConsistencyError("image classification does not mirror the source")
-    source_f = GammaRow(tuple(reversed(source_f)), tuple(reversed(source_f_g)))
-    source_p = GammaRow(tuple(reversed(source_p)), tuple(reversed(passant_g)))
+    source_f = GammaRow(tuple([n + 1 - b for b in reversed(openers)]), tuple(reversed(source_f_g)))
+    source_p = GammaRow(tuple([n + 1 - b for b in reversed(passants)]), tuple(reversed(passant_g)))
     return PhiCertificate(p, image, source_f, source_p, image_f, image_p)
 
 
@@ -162,35 +161,34 @@ def phi(p: SetPartition) -> SetPartition:
 def phi_i(p: SetPartition, i: int) -> SetPartition:
     """Exchange material between blocks i and i+1, preserving minima.
 
-    With C = B_{i+1}, g = max(C) and T = {a in B_i : a > g}:
-    if |C| > 1, move g into B_i and T into C; if C = {g}, the map is the
-    identity when max(B_i) < g and otherwise moves T onto C leaving
-    B_i without its tail.
+    With C = B_{i+1}, g = max(C) and T = {a in B_i : a > g}, T moves to
+    C and g moves to B_i unless C = {g}; the map is the identity when
+    C = {g} and T is empty.  The minima stay put, so each moved element
+    takes the other letter of the pair (i, i+1) in the word.
     """
     p = _require_canonical(p, "phi_i is defined on canonically ordered partitions only")
     if p.k < 2:
         raise PartitionError(f"phi_i needs at least two blocks, got {p.k}")
     if not 1 <= i <= p.k - 1:
         raise PartitionError(f"block index {i} outside 1..{p.k - 1}")
-    blocks = [list(b) for b in p.blocks]
-    a, c = blocks[i - 1], blocks[i]
-    g = c[-1]
-    tail = [x for x in a if x > g]
-    if len(c) > 1:
-        new_a = [x for x in a if x < g] + [g]
-        new_c = c[:-1] + tail
-    else:
-        if a[-1] < g:
-            return p
-        new_a = [x for x in a if x < g]
-        new_c = [g] + tail
-    blocks[i - 1] = sorted(new_a)
-    blocks[i] = sorted(new_c)
-    if not new_a:
-        raise ConsistencyError(f"phi_{i} emptied block {i}")
-    image = SetPartition.from_blocks(blocks)
-    if classify(image).openers != classify(p).openers:
-        raise ConsistencyError(f"phi_{i} changed the opener set of {p.text()}")
+    word = list(p.word)
+    n = len(word)
+    g = n - word[::-1].index(i + 1)  # max C
+    moved = [x for x in range(g + 1, n + 1) if word[x - 1] == i]  # T
+    if word.index(i + 1) < g - 1:  # C holds more than g
+        moved.append(g)
+    elif not moved:
+        return p
+    for x in moved:
+        word[x - 1] = 2 * i + 1 - word[x - 1]
+    image = SetPartition._trusted(tuple(word))
+    # Same opener positions with the same letters: the word is still a
+    # restricted growth word.
+    openers = classify(p).openers
+    if classify(image).openers != openers or any(
+        image.word[o - 1] != letter for letter, o in enumerate(openers, start=1)
+    ):
+        raise ConsistencyError(f"phi_{i} changed the openers of {p.text()}")
     return image
 
 

@@ -72,9 +72,11 @@ last and returns every element's block position.  ``from_blocks``
 numbers those positions in order of first occurrence, which gives the
 word.  ``OrderedSetPartition`` keeps those positions as its word, and
 ``canonical`` numbers that checked word the same way, with no second
-block check.  Words that this module builds valid go through the
-private ``Partition._trusted``, or for the enumerators the same store
-inline, without a second check.
+block check.  Words built valid go through the private
+``Partition._trusted``, or for the enumerators the same store inline,
+without a second check: ``canonical``, ``from_blocks``,
+``motzkin.decode`` and the images of ``bijections.phi`` and
+``bijections.phi_i``.
 """
 
 from __future__ import annotations

@@ -114,10 +114,6 @@ class LabeledMotzkinPath:
         object.__setattr__(path, "steps", steps)
         return path
 
-    @property
-    def n(self) -> int:
-        return len(self.steps)
-
     def heights(self) -> tuple[int, ...]:
         """Height before each step (prepended start height 0 excluded)."""
         out = []
@@ -313,10 +309,10 @@ def ascii_art(path: LabeledMotzkinPath) -> str:
     top = max(
         h + (1 if s.kind == NE else 0) for s, h in zip(path.steps, heights)
     )
-    labels = [s.text()[s.text().index("(") :].strip("()") for s in path.steps]
+    labels = [f"{s.label}*" if s.starred else str(s.label) for s in path.steps]
     width = max(2, max(len(lbl) for lbl in labels) + 1)
     rows = []
-    for level in range(top, 0, -1):
+    for level in range(top, -1, -1):
         row = []
         for step, h in zip(path.steps, heights):
             if step.kind == NE and h + 1 == level:
@@ -328,9 +324,5 @@ def ascii_art(path: LabeledMotzkinPath) -> str:
             else:
                 row.append(" " * width)
         rows.append("".join(row).rstrip())
-    base = []
-    for step, h in zip(path.steps, heights):
-        base.append(("-" if step.kind == E and h == 0 else " ").ljust(width))
-    rows.append("".join(base).rstrip())
     rows.append("".join(lbl.ljust(width) for lbl in labels).rstrip())
     return "\n".join(row for row in rows if row)

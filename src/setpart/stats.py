@@ -54,8 +54,7 @@ with the order of summation swapped, so ``linv_openers``,
 
 mak_l adjusts mak by the closer of the l-th block:
 mak_l = mak - nrinv(max(B_l)) + k - l, so mak_k = mak.  ``mak_ls`` gives
-all k of them from one pass over the same block masks, kept per object
-(key ``_mak_ls``).
+all k of them from one pass over the same block masks.
 
 For a partition with k+1 blocks, stat_i = k - rinv(F) - nrinv(max(B_i))
 may be negative; its rinv(F) is the pass's lcb.
@@ -217,10 +216,6 @@ def linv_closers(p: Partition) -> int:
 def mak_ls(p: SetPartition) -> tuple[int, ...]:
     """(mak_1, ..., mak_k), where mak_l = mak - nrinv(max(B_l)) + k - l."""
     p = _require_canonical(p, "mak_l is defined on canonically ordered partitions only")
-    return _memo(p, "_mak_ls", _mak_ls_pass)
-
-
-def _mak_ls_pass(p: SetPartition) -> tuple[int, ...]:
     # nrinv of block l's closer f counts the elements of later blocks
     # above f: the bits of ``right`` from bit f (element f + 1) up.
     shifted = mak(p) + p.k

@@ -10,7 +10,10 @@ The exceptions are copies of library code that faster code replaced:
 ``rebuild_from_profile``, the former profile rebuild, which
 ``motzkin.decode`` and the image pass of ``bijections.phi_certificate``
 replaced (it keeps every check it had and hands its word to the checked
-``SetPartition`` constructor), and the former recursive enumerators
+``SetPartition`` constructor), ``phi_i``, the former block-list
+exchange map, which ``bijections.phi_i`` replaced by editing the word
+(it splices and sorts the two blocks and hands them to the checked
+``SetPartition.from_blocks``), and the former recursive enumerators
 ``_rgf_words`` and ``enumerate_paths``, which the successor steps of
 ``core._rgf_words`` and ``motzkin.enumerate_paths`` replaced.
 """
@@ -19,7 +22,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from setpart.core import CLOSER, OPENER, SINGLETON, SetPartition
+from setpart.bijections import ConsistencyError
+from setpart.core import (
+    CLOSER,
+    OPENER,
+    SINGLETON,
+    PartitionError,
+    SetPartition,
+    _require_canonical,
+    classify,
+)
 from setpart.motzkin import _E1_STAR, _NE1, E, SE, LabeledMotzkinPath, PathError, Step
 
 
@@ -239,6 +251,41 @@ def rebuild_from_profile(kinds, gamma):
     if incomplete:
         raise ProfileError("profile ends with unclosed blocks")
     return SetPartition(tuple(word))
+
+
+def phi_i(p: SetPartition, i: int) -> SetPartition:
+    """Exchange material between blocks i and i+1, preserving minima.
+
+    With C = B_{i+1}, g = max(C) and T = {a in B_i : a > g}:
+    if |C| > 1, move g into B_i and T into C; if C = {g}, the map is the
+    identity when max(B_i) < g and otherwise moves T onto C leaving
+    B_i without its tail.
+    """
+    p = _require_canonical(p, "phi_i is defined on canonically ordered partitions only")
+    if p.k < 2:
+        raise PartitionError(f"phi_i needs at least two blocks, got {p.k}")
+    if not 1 <= i <= p.k - 1:
+        raise PartitionError(f"block index {i} outside 1..{p.k - 1}")
+    blocks = [list(b) for b in p.blocks]
+    a, c = blocks[i - 1], blocks[i]
+    g = c[-1]
+    tail = [x for x in a if x > g]
+    if len(c) > 1:
+        new_a = [x for x in a if x < g] + [g]
+        new_c = c[:-1] + tail
+    else:
+        if a[-1] < g:
+            return p
+        new_a = [x for x in a if x < g]
+        new_c = [g] + tail
+    blocks[i - 1] = sorted(new_a)
+    blocks[i] = sorted(new_c)
+    if not new_a:
+        raise ConsistencyError(f"phi_{i} emptied block {i}")
+    image = SetPartition.from_blocks(blocks)
+    if classify(image).openers != classify(p).openers:
+        raise ConsistencyError(f"phi_{i} changed the opener set of {p.text()}")
+    return image
 
 
 def _rgf_words(n: int, k: int | None) -> Iterator[tuple[int, ...]]:

@@ -22,6 +22,7 @@ from setpart.core import (
 )
 from setpart.stats import mak, makp, stat_i
 
+import oracles
 from test_core import LONG_SEEDED_WORDS
 
 
@@ -238,6 +239,18 @@ def test_block_exchange_preserves_openers_and_is_injective():
                 images = [phi_i(p, i) for p in members]
                 assert set(images) <= set(members)
                 assert len(set(images)) == len(members)
+
+
+def test_block_exchange_equals_the_block_list_oracle():
+    # the word edit against the former map, which splices and sorts the
+    # two blocks and renumbers them through the checked from_blocks
+    words = [p.word for n in range(9) for p in enumerate_partitions(n)]
+    for word in words + LONG_SEEDED_WORDS:
+        p = SetPartition(word)
+        for i in range(1, p.k):
+            image = phi_i(p, i)
+            assert type(image) is SetPartition and type(image.word) is tuple
+            assert image.word == oracles.phi_i(p, i).word
 
 
 def test_block_exchange_errors():

@@ -235,6 +235,75 @@ def test_motzkin_suite_prints_the_witness_of_a_path_fault(attr, monkeypatch):
         assert line in fails
 
 
+class _MinimaSwapped:
+    """Stands in for ``SetPartition`` in ``bijections``: each word it is
+    handed gets the letters at the minima of blocks 1 and 2 swapped.
+    That breaks the restricted growth condition, and when element 2
+    opens block 2 it keeps the set of first occurrences (1,3/2 has the
+    image word 1,2,2, which becomes 2,1,2)."""
+
+    @staticmethod
+    def _trusted(word):
+        word = list(word)
+        second = word.index(2)
+        word[0], word[second] = word[second], word[0]
+        return core.SetPartition._trusted(tuple(word))
+
+
+def _singletons_then_one_block(p, i):
+    # the same image 1/2/.../k-1/k,...,n for every member of every class
+    return core.SetPartition._trusted(tuple(range(1, p.k)) + (p.k,) * (p.n - p.k + 1))
+
+
+# A fault in phi_i: what it replaces in bijections, and every FAIL line
+# the phi-i suite prints under it at n_max = 3.
+_PHI_I_FAULTS = {
+    "minima swapped": (
+        "SetPartition",
+        _MinimaSwapped,
+        [
+            "FAIL 1,3/2: expected phi_1 stays in the class, got phi_1 changed the openers of 1,3/2",
+            "FAIL 1/2,3: expected phi_1 stays in the class, got phi_1 changed the openers of 1/2,3",
+            "FAIL n=3 blocks=2 openers=(1, 2) i=1: expected 2 distinct images, got 0",
+        ],
+    ),
+    "constant image": (
+        "phi_i",
+        _singletons_then_one_block,
+        [
+            "FAIL 1,2/3: expected phi_1 image in class (1, 3), got 1/2,3",
+            "FAIL 1/2,3: expected stat_1 = stat_2(image) - 1 = 0, got -1",
+            "FAIL n=3 blocks=2 openers=(1, 2) i=1: expected 2 distinct images, got 1",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PHI_I_FAULTS))
+def test_phi_i_suite_prints_the_witness_of_a_map_fault(name, monkeypatch):
+    attr, faulty, want = _PHI_I_FAULTS[name]
+    monkeypatch.setattr(bijections, attr, faulty)
+    report = run_suite("phi-i", n_max=3, threads=1, max_witnesses=100)
+    lines = report.render_text().splitlines()
+    assert lines[-1] == "result: FAIL"
+    assert [line for line in lines if line.startswith("FAIL")] == want
+    assert report.failure_count == len(want)
+
+
+def test_phi_i_refuses_to_return_a_word_with_swapped_minima(monkeypatch):
+    # every image is caught, also those whose opener set survives the swap
+    monkeypatch.setattr(bijections, "SetPartition", _MinimaSwapped)
+    for n in range(7):
+        for p in enumerate_partitions(n):
+            for i in range(1, p.k):
+                try:
+                    image = bijections.phi_i(p, i)
+                except bijections.ConsistencyError as exc:
+                    assert str(exc) == f"phi_{i} changed the openers of {p.text()}"
+                else:
+                    assert image is p  # the identity case builds no word
+
+
 def test_theorem3_recurrence_reads_the_mak_dp(monkeypatch):
     real = verify.mak_histograms
 
