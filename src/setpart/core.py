@@ -61,7 +61,7 @@ without k); the last position takes each of its letters in turn.  Each
 partition is built with its word and ``k`` in one store.
 ``enumerate_ordered`` relabels the word through each block permutation,
 old block b becoming its position in the permutation, and stores ``k``
-and the permuted ``blocks`` and ``masks`` with it.
+and the permuted ``masks`` with it.
 
 Validation happens at the boundary only: the public constructors
 (``SetPartition(word)``, ``SetPartition.from_blocks`` and
@@ -177,11 +177,10 @@ def _blocks_from_word(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks)
 
 
-def _validate_blocks(blocks: Sequence[Iterable[int]]) -> tuple[list[list[int]], list[int]]:
-    """The sorted blocks and each element's 1-based block position, from one
-    pass over the blocks in order that reports the first defect it meets
-    and names the smallest missing element last."""
-    cleaned = []
+def _validate_blocks(blocks: Sequence[Iterable[int]]) -> list[int]:
+    """Each element's 1-based block position, from one pass over the blocks
+    in order, each read sorted, that reports the first defect it meets and
+    names the smallest missing element last."""
     seen: dict[int, int] = {}
     for pos, block in enumerate(blocks, start=1):
         items = sorted(block)
@@ -196,7 +195,6 @@ def _validate_blocks(blocks: Sequence[Iterable[int]]) -> tuple[list[list[int]], 
                     where = f"twice in block {pos}"
                 raise PartitionError(f"element {x} appears {where}")
             seen[x] = pos
-        cleaned.append(items)
     n = len(seen)
     try:
         positions = list(map(seen.__getitem__, range(1, n + 1)))
@@ -204,7 +202,7 @@ def _validate_blocks(blocks: Sequence[Iterable[int]]) -> tuple[list[list[int]], 
         (missing,) = exc.args
         message = f"element {missing} is missing (ground set has {n} elements)"
         raise PartitionError(message) from None
-    return cleaned, positions
+    return positions
 
 
 def _first_occurrence_word(letters: Sequence[int]) -> tuple[int, ...]:
@@ -285,8 +283,7 @@ class SetPartition(Partition):
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
-        _, positions = _validate_blocks(blocks)
-        return cls._trusted(_first_occurrence_word(positions))
+        return cls._trusted(_first_occurrence_word(_validate_blocks(blocks)))
 
 
 @dataclass(frozen=True, init=False)
@@ -299,16 +296,14 @@ class OrderedSetPartition(Partition):
     """
 
     def __init__(self, blocks: Sequence[Iterable[int]]):
-        cleaned, positions = _validate_blocks(blocks)
-        object.__setattr__(self, "word", tuple(positions))
-        self.__dict__["blocks"] = tuple(map(tuple, cleaned))  # where the cached view goes
+        object.__setattr__(self, "word", tuple(_validate_blocks(blocks)))
 
     def canonical(self) -> SetPartition:
         return SetPartition._trusted(_first_occurrence_word(self.word))
 
     def is_canonical(self) -> bool:
-        minima = [b[0] for b in self.blocks]
-        return all(a < b for a, b in zip(minima, minima[1:]))
+        # minima ascending: the word is numbered in order of first occurrence
+        return self.word == _first_occurrence_word(self.word)
 
 
 def _parse_blocks(text: str) -> list[list[int]]:
@@ -516,14 +511,13 @@ def enumerate_partitions(n: int, k: int | None = None) -> Iterator[SetPartition]
 def enumerate_ordered(n: int, k: int | None = None) -> Iterator[OrderedSetPartition]:
     """All ordered partitions of [n]: canonical partitions in word order,
     each expanded through its block permutations in lexicographic order,
-    each built with its ``k``, ``blocks`` and ``masks``."""
+    each built with its ``k`` and ``masks``."""
     new = object.__new__
     for p in enumerate_partitions(n, k):
         word, top = p.word, p.k
         perms = itertools.permutations(range(1, top + 1))
-        views = zip(perms, itertools.permutations(p.blocks), itertools.permutations(p.masks))
-        for perm, blocks, masks in views:
+        for perm, masks in zip(perms, itertools.permutations(p.masks)):
             place = ((0,) + perm).index  # old block index -> its position in the new order
             op = new(OrderedSetPartition)
-            op.__dict__.update(word=tuple(map(place, word)), k=top, blocks=blocks, masks=masks)
+            op.__dict__.update(word=tuple(map(place, word)), k=top, masks=masks)
             yield op

@@ -57,7 +57,7 @@ mak_l = mak - nrinv(max(B_l)) + k - l, so mak_k = mak.  ``mak_ls`` gives
 all k of them from one pass over the same block masks.
 
 For a partition with k+1 blocks, stat_i = k - rinv(F) - nrinv(max(B_i))
-may be negative; its rinv(F) is the pass's lcb.
+may be negative; rinv(F) is the pass's lcb, max(B_i) the top bit of mask i.
 
 Ordered partitions additionally carry the dominance order B > B' (every
 element of B exceeds every element of B', i.e. min(B) > max(B')), giving
@@ -94,14 +94,19 @@ class CoordKind(enum.Enum):
     LCB = ("left", "closer", "bigger")
 
 
-def coord_stat(p: Partition, kind: CoordKind, i: int) -> int:
-    """The per-element coordinate count for element i."""
+def _block_of(i: int, p: Partition) -> int:
+    """The block index w_i of element i, which must lie in 1..n."""
     if not 1 <= i <= p.n:
         raise PartitionError(f"element {i} outside 1..{p.n}")
+    return p.word[i - 1]
+
+
+def coord_stat(p: Partition, kind: CoordKind, i: int) -> int:
+    """The per-element coordinate count for element i."""
+    wi = _block_of(i, p)
     side, reference, comparison = kind.value
     cls = classify(p)
     w = p.word
-    wi = w[i - 1]
     total = 0
     for j in cls.openers if reference == "opener" else cls.closers:
         if (j < i) != (comparison == "smaller"):
@@ -171,31 +176,27 @@ def lmakp(p: Partition) -> int:
     return four_stats(p)[3]
 
 
+def _inversions(b: int, p: Partition, later: bool, bigger: bool) -> int:
+    """Elements of later (else earlier) blocks that are bigger (else
+    smaller) than b, in one scan of the word on that side of b."""
+    wb = _block_of(b, p)
+    side = p.word[b:] if bigger else p.word[: b - 1]
+    return sum(w > wb for w in side) if later else sum(w < wb for w in side)
+
+
 def rinv(b: int, p: Partition) -> int:
     """Elements of later blocks that are smaller than b."""
-    if not 1 <= b <= p.n:
-        raise PartitionError(f"element {b} outside 1..{p.n}")
-    w = p.word
-    wb = w[b - 1]
-    return sum(1 for a in range(1, b) if w[a - 1] > wb)
+    return _inversions(b, p, later=True, bigger=False)
 
 
 def nrinv(b: int, p: Partition) -> int:
     """Elements of later blocks that are bigger than b."""
-    if not 1 <= b <= p.n:
-        raise PartitionError(f"element {b} outside 1..{p.n}")
-    w = p.word
-    wb = w[b - 1]
-    return sum(1 for a in range(b + 1, p.n + 1) if w[a - 1] > wb)
+    return _inversions(b, p, later=True, bigger=True)
 
 
 def linv(b: int, p: Partition) -> int:
     """Elements of earlier blocks that are bigger than b."""
-    if not 1 <= b <= p.n:
-        raise PartitionError(f"element {b} outside 1..{p.n}")
-    w = p.word
-    wb = w[b - 1]
-    return sum(1 for a in range(b + 1, p.n + 1) if w[a - 1] < wb)
+    return _inversions(b, p, later=False, bigger=True)
 
 
 # Swapping the order of summation: linv over the openers counts the pairs
@@ -240,7 +241,7 @@ def stat_i(p: SetPartition, i: int) -> int:
     p = _require_canonical(p, "stat_i is defined on canonically ordered partitions only")
     if not 1 <= i <= p.k:
         raise PartitionError(f"block index {i} outside 1..{p.k}")
-    return p.k - 1 - rinv_closers(p) - nrinv(p.blocks[i - 1][-1], p)
+    return p.k - 1 - rinv_closers(p) - nrinv(p.masks[i - 1].bit_length(), p)
 
 
 def bmaj(p: Partition) -> int:

@@ -509,6 +509,7 @@ def _phii_cell(n: int, kk: int) -> CellResult:
                 images.append(img)
                 if img not in member_set:
                     failures.append((p.text(), f"phi_{i} image in class {openers}", img.text()))
+                    continue  # its block i + 1 need not exist
                 left = stats.stat_i(p, i)
                 right = stats.stat_i(img, i + 1) - 1
                 if left != right:

@@ -327,15 +327,15 @@ def _masks_of(word):
 
 
 def test_trusted_ordered_enumeration_builds_valid_blocks():
-    # enumerate_ordered skips _validate_blocks: every block tuple it
-    # yields must pass it unchanged, and the views it seeds must equal
-    # those the checked constructor computes
+    # enumerate_ordered skips _validate_blocks: the blocks of every word
+    # it yields must pass it and give that word back, and the views it
+    # seeds must equal those the checked constructor computes
     for n in range(7):
         for op in enumerate_ordered(n):
+            assert {"k", "masks"} <= op.__dict__.keys() and "blocks" not in op.__dict__
             assert type(op.blocks) is tuple
             assert all(type(block) is tuple for block in op.blocks)
-            assert core._validate_blocks(op.blocks)[0] == [list(block) for block in op.blocks]
-            assert {"k", "blocks", "masks"} <= op.__dict__.keys()
+            assert core._validate_blocks(op.blocks) == list(op.word)
             fresh = OrderedSetPartition(op.blocks)
             assert op == fresh
             assert op.k == fresh.k == max(op.word, default=0)
@@ -373,6 +373,22 @@ def test_an_ordered_partition_is_the_word_of_its_given_blocks():
         cases += 1
     ordered = sum(math.factorial(k) * oracles.stirling(n, k) for n in range(7) for k in range(n + 1))
     assert cases == ordered + 500
+
+
+def test_an_ordered_partition_stores_only_its_word():
+    # no block view until one is read: not from the constructor, the
+    # enumeration or is_canonical, which reads the word alone
+    for n in range(8):
+        for op in enumerate_ordered(n):
+            op.is_canonical()
+            assert "blocks" not in op.__dict__
+    for given in _given_ordered_blocks():
+        op = OrderedSetPartition(given)
+        assert op.__dict__.keys() == {"word"}
+        minima = [min(block) for block in given]
+        assert op.is_canonical() == (minima == sorted(minima))
+        assert "blocks" not in op.__dict__
+        assert op.blocks == tuple(tuple(sorted(block)) for block in given)
 
 
 def test_enumerate_ordered_equals_the_checked_constructor():

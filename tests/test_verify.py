@@ -255,6 +255,11 @@ def _singletons_then_one_block(p, i):
     return core.SetPartition._trusted(tuple(range(1, p.k)) + (p.k,) * (p.n - p.k + 1))
 
 
+def _one_block(p, i):
+    # an image with too few blocks for stat_{i + 1}: only its class is checked
+    return core.SetPartition._trusted((1,) * p.n)
+
+
 # A fault in phi_i: what it replaces in bijections, and every FAIL line
 # the phi-i suite prints under it at n_max = 3.
 _PHI_I_FAULTS = {
@@ -274,6 +279,19 @@ _PHI_I_FAULTS = {
             "FAIL 1,2/3: expected phi_1 image in class (1, 3), got 1/2,3",
             "FAIL 1/2,3: expected stat_1 = stat_2(image) - 1 = 0, got -1",
             "FAIL n=3 blocks=2 openers=(1, 2) i=1: expected 2 distinct images, got 1",
+        ],
+    ),
+    "one block": (
+        "phi_i",
+        _one_block,
+        [
+            "FAIL 1/2: expected phi_1 image in class (1, 2), got 1,2",
+            "FAIL 1,2/3: expected phi_1 image in class (1, 3), got 1,2,3",
+            "FAIL 1,3/2: expected phi_1 image in class (1, 2), got 1,2,3",
+            "FAIL 1/2,3: expected phi_1 image in class (1, 2), got 1,2,3",
+            "FAIL n=3 blocks=2 openers=(1, 2) i=1: expected 2 distinct images, got 1",
+            "FAIL 1/2/3: expected phi_1 image in class (1, 2, 3), got 1,2,3",
+            "FAIL 1/2/3: expected phi_2 image in class (1, 2, 3), got 1,2,3",
         ],
     ),
 }
@@ -302,6 +320,167 @@ def test_phi_i_refuses_to_return_a_word_with_swapped_minima(monkeypatch):
                     assert str(exc) == f"phi_{i} changed the openers of {p.text()}"
                 else:
                     assert image is p  # the identity case builds no word
+
+
+def _raises(error, message):
+    # a stand-in that raises error(message) whatever it is given
+    def fault(*args):
+        raise error(message)
+
+    return fault
+
+
+class _Reflected(motzkin.LabeledMotzkinPath):
+    """A path that one of the faulty reflects below returned."""
+
+
+def _reflect_once(path, reflect=motzkin.reflect):
+    # the real reflection, which refuses to be reflected again
+    if isinstance(path, _Reflected):
+        raise motzkin.PathError("reflected twice")
+    return _Reflected._trusted(reflect(path).steps)
+
+
+def _reflect_to_itself(path, reflect=motzkin.reflect):
+    # the real reflection, which reflects back to itself
+    if isinstance(path, _Reflected):
+        return motzkin.LabeledMotzkinPath._trusted(path.steps)
+    return _Reflected._trusted(reflect(path).steps)
+
+
+# verify reads classify through core; bijections holds its own reference
+_no_closer_nonsingletons = _altered(core.classify, lambda c: c._replace(closer_nonsingletons=()))
+
+# A fault for each FAIL witness of a pointwise suite that no _FAULTS entry
+# reaches: the suite, what the fault replaces, the n_max to run, and every
+# FAIL line the suite prints under it.
+_WITNESS_FAULTS = {
+    "theorem1 certificate": (
+        "theorem1",
+        bijections,
+        "phi_certificate",
+        _raises(bijections.ConsistencyError, "no image"),
+        2,
+        [
+            "FAIL : expected a consistent involution image, got no image",
+            "FAIL 1: expected a consistent involution image, got no image",
+            "FAIL 1,2: expected a consistent involution image, got no image",
+            "FAIL 1/2: expected a consistent involution image, got no image",
+        ],
+    ),
+    "theorem1 involution": (
+        "theorem1",
+        bijections,
+        "phi",
+        lambda p: p,
+        3,
+        [
+            "FAIL 1,2/3: expected involution returns to the source, got 1/2,3",
+            "FAIL 1/2,3: expected involution returns to the source, got 1,2/3",
+        ],
+    ),
+    "theorem1 closers": (
+        "theorem1",
+        core,
+        "classify",
+        _no_closer_nonsingletons,
+        2,
+        ["FAIL 1,2: expected image closers (2,), got ()"],
+    ),
+    "theorem2 lmak": (
+        "theorem2",
+        stats,
+        "four_stats",
+        _altered(stats.four_stats, _plus_one_at(2)),
+        2,
+        [
+            "FAIL : expected lmak = makp = 0, got 1",
+            "FAIL 1: expected lmak = makp = 0, got 1",
+            "FAIL 1,2: expected lmak = makp = 0, got 1",
+            "FAIL 1/2: expected lmak = makp = 1, got 2",
+        ],
+    ),
+    "lemma1 makp": (
+        "lemma1",
+        stats,
+        "four_stats",
+        _altered(stats.four_stats, _plus_one_at(1)),
+        2,
+        [
+            "FAIL : expected trace form of makp = 1, got 0",
+            "FAIL 1: expected trace form of makp = 1, got 0",
+            "FAIL 1,2: expected trace form of makp = 1, got 0",
+            "FAIL 1/2: expected trace form of makp = 2, got 1",
+        ],
+    ),
+    "lemma1 level sum": (
+        "lemma1",
+        core,
+        "classify",
+        _no_closer_nonsingletons,
+        2,
+        [
+            "FAIL 1,2: expected closer level sum = 1, got 0",
+            "FAIL 1,2: expected a level-respecting matching, got {1: 2}",
+        ],
+    ),
+    "lemma1 matching raises": (
+        "lemma1",
+        bijections,
+        "match_openers_closers",
+        _raises(bijections.ConsistencyError, "no closer"),
+        2,
+        [
+            "FAIL : expected a complete opener-closer matching, got no closer",
+            "FAIL 1: expected a complete opener-closer matching, got no closer",
+            "FAIL 1,2: expected a complete opener-closer matching, got no closer",
+            "FAIL 1/2: expected a complete opener-closer matching, got no closer",
+        ],
+    ),
+    "lemma1 empty matching": (
+        "lemma1",
+        bijections,
+        "match_openers_closers",
+        lambda p: {},
+        2,
+        ["FAIL 1,2: expected a level-respecting matching, got {}"],
+    ),
+    "motzkin reflect raises": (
+        "motzkin",
+        motzkin,
+        "reflect",
+        _reflect_once,
+        3,
+        [
+            "FAIL : expected reflect is an involution, got raised: reflected twice",
+            "FAIL 1: expected reflect is an involution, got raised: reflected twice",
+            "FAIL 1,2: expected reflect is an involution, got raised: reflected twice",
+            "FAIL 1/2: expected reflect is an involution, got raised: reflected twice",
+        ],
+    ),
+    "motzkin reflect differs": (
+        "motzkin",
+        motzkin,
+        "reflect",
+        _reflect_to_itself,
+        4,
+        [
+            "FAIL 1,2/3: expected reflect is an involution, got differs",
+            "FAIL 1/2,3: expected reflect is an involution, got differs",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WITNESS_FAULTS))
+def test_pointwise_suites_print_the_witness_of_a_fault(name, monkeypatch):
+    suite, module, attr, faulty, n_max, want = _WITNESS_FAULTS[name]
+    monkeypatch.setattr(module, attr, faulty)
+    report = run_suite(suite, n_max=n_max, threads=1, max_witnesses=100)
+    lines = report.render_text().splitlines()
+    assert lines[-1] == "result: FAIL"
+    assert [line for line in lines if line.startswith("FAIL")] == want
+    assert report.failure_count == len(want)
 
 
 def test_theorem3_recurrence_reads_the_mak_dp(monkeypatch):
