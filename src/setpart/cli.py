@@ -91,7 +91,8 @@ def cmd_enumerate(args) -> int:
 def _parse_cli_partition(text: str) -> core.Partition:
     """Ordered if the blocks are out of canonical order, canonical otherwise."""
     p = core.parse_ordered(text)
-    return p.canonical() if p.is_canonical() else p
+    canonical = p.canonical()
+    return canonical if canonical.word == p.word else p
 
 
 def cmd_stats(args) -> int:

@@ -63,20 +63,19 @@ partition is built with its word and ``k`` in one store.
 old block b becoming its position in the permutation, and stores ``k``
 and the permuted ``masks`` with it.
 
-Validation happens at the boundary only: the public constructors
-(``SetPartition(word)``, ``SetPartition.from_blocks`` and
-``OrderedSetPartition(blocks)``) and the parsers check everything they
-are given.  The block check reads the blocks in order, each one sorted,
-reports the first defect it meets, names the smallest missing element
-last and returns every element's block position.  ``from_blocks``
-numbers those positions in order of first occurrence, which gives the
-word.  ``OrderedSetPartition`` keeps those positions as its word, and
-``canonical`` numbers that checked word the same way, with no second
-block check.  Words built valid go through the private
-``Partition._trusted``, or for the enumerators the same store inline,
-without a second check: ``canonical``, ``from_blocks``,
-``motzkin.decode`` and the images of ``bijections.phi`` and
-``bijections.phi_i``.
+Validation happens at the boundary only, in the two public
+constructors ``SetPartition(word)`` and ``OrderedSetPartition(blocks)``;
+every other way in goes through one of them.  The block check reads the
+blocks in order, each one sorted, reports the first defect it meets,
+names the smallest missing element last and returns every element's
+block position, which ``OrderedSetPartition`` keeps as its word.
+``canonical`` is the one place that renumbers a word, in order of first
+occurrence, with no second block check: ``SetPartition.from_blocks(b)``
+is ``OrderedSetPartition(b).canonical()`` and ``parse_partition(t)`` is
+``parse_ordered(t).canonical()``.  Words built valid go through the
+private ``Partition._trusted``, or for the enumerators the same store
+inline, without a second check: ``canonical``, ``motzkin.decode`` and
+the images of ``bijections.phi`` and ``bijections.phi_i``.
 """
 
 from __future__ import annotations
@@ -283,7 +282,7 @@ class SetPartition(Partition):
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
-        return cls._trusted(_first_occurrence_word(_validate_blocks(blocks)))
+        return OrderedSetPartition(blocks).canonical()
 
 
 @dataclass(frozen=True, init=False)
@@ -300,10 +299,6 @@ class OrderedSetPartition(Partition):
 
     def canonical(self) -> SetPartition:
         return SetPartition._trusted(_first_occurrence_word(self.word))
-
-    def is_canonical(self) -> bool:
-        # minima ascending: the word is numbered in order of first occurrence
-        return self.word == _first_occurrence_word(self.word)
 
 
 def _parse_blocks(text: str) -> list[list[int]]:
@@ -348,11 +343,7 @@ def parse_partition(text: str) -> SetPartition:
     >>> parse_partition("3 / 2,1").text()
     '1,2/3'
     """
-    blocks = _parse_blocks(text)
-    try:
-        return SetPartition.from_blocks(blocks)
-    except PartitionError as exc:
-        raise ParseError(str(exc)) from exc
+    return parse_ordered(text).canonical()
 
 
 class ElementClassification(NamedTuple):

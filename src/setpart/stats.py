@@ -36,9 +36,10 @@ its own, never derived from the others (in particular not through
 rob + ros = k - w), so the identities above remain checks of the
 counts.  The eight sums are counted once per partition object and kept
 on it (``core._memo`` key ``_coord_sums``) for every statistic that
-reads them.  ``coord_stat`` is the one per-element count, an
-independent loop over the (equally memoized) classification; the tests
-sum it against the pass.
+reads them.  ``coord_stat`` counts one element i the other way round:
+the union of the openers (or closers) of the blocks after (or before)
+i's block, one popcount above or below bit i - 1, in O(k) big-int steps
+on the same masks; the tests sum it against the pass.
 
 Element-level inversion counts, for b in block j:
 
@@ -46,9 +47,10 @@ Element-level inversion counts, for b in block j:
     nrinv(b) = #{a in later blocks  : a > b}
     linv(b)  = #{a in earlier blocks: a > b}
 
-Summed over the openers O or the closers F, each is a coordinate sum
-with the order of summation swapped, so ``linv_openers``,
-``rinv_closers`` and ``linv_closers`` read the same pass:
+are that same per-element count over every element of those blocks, not
+only their openers or closers.  Summed over the openers O or the closers
+F, each is a coordinate sum with the order of summation swapped, so
+``linv_openers``, ``rinv_closers`` and ``linv_closers`` read the pass:
 
     linv(O) = ros    rinv(F) = lcb    linv(F) = rcs.
 
@@ -77,7 +79,6 @@ from .core import (
     SetPartition,
     _memo,
     _require_canonical,
-    classify,
 )
 
 
@@ -101,24 +102,25 @@ def _block_of(i: int, p: Partition) -> int:
     return p.word[i - 1]
 
 
+def _count_across(p: Partition, i: int, later: bool, above: bool, role: str = "") -> int:
+    """Elements of the blocks after (else before) element i's block that lie
+    above (else below) i, from the block masks; with ``role`` "opener" or
+    "closer", only those blocks' openers or closers."""
+    w = _block_of(i, p)
+    union = 0
+    for m in p.masks[w:] if later else p.masks[: w - 1]:
+        if role == "opener":
+            m &= -m
+        elif role == "closer":
+            m = 1 << (m.bit_length() - 1)
+        union |= m
+    return (union >> i if above else union & ((1 << (i - 1)) - 1)).bit_count()
+
+
 def coord_stat(p: Partition, kind: CoordKind, i: int) -> int:
     """The per-element coordinate count for element i."""
-    wi = _block_of(i, p)
     side, reference, comparison = kind.value
-    cls = classify(p)
-    w = p.word
-    total = 0
-    for j in cls.openers if reference == "opener" else cls.closers:
-        if (j < i) != (comparison == "smaller"):
-            continue
-        if j == i:
-            continue
-        wj = w[j - 1]
-        if side == "right":
-            total += wj > wi
-        else:
-            total += wj < wi
-    return total
+    return _count_across(p, i, side == "right", comparison == "bigger", reference)
 
 
 def _coord_pass(p: Partition) -> tuple[int, int, int, int, int, int, int, int]:
@@ -176,42 +178,31 @@ def lmakp(p: Partition) -> int:
     return four_stats(p)[3]
 
 
-def _inversions(b: int, p: Partition, later: bool, bigger: bool) -> int:
-    """Elements of later (else earlier) blocks that are bigger (else
-    smaller) than b, in one scan of the word on that side of b."""
-    wb = _block_of(b, p)
-    side = p.word[b:] if bigger else p.word[: b - 1]
-    return sum(w > wb for w in side) if later else sum(w < wb for w in side)
-
-
 def rinv(b: int, p: Partition) -> int:
     """Elements of later blocks that are smaller than b."""
-    return _inversions(b, p, later=True, bigger=False)
+    return _count_across(p, b, later=True, above=False)
 
 
 def nrinv(b: int, p: Partition) -> int:
     """Elements of later blocks that are bigger than b."""
-    return _inversions(b, p, later=True, bigger=True)
+    return _count_across(p, b, later=True, above=True)
 
 
 def linv(b: int, p: Partition) -> int:
     """Elements of earlier blocks that are bigger than b."""
-    return _inversions(b, p, later=False, bigger=True)
+    return _count_across(p, b, later=False, above=True)
+
+
+def _coord_sum_fn(index: int) -> Callable[[Partition], int]:
+    return lambda p: _memo(p, "_coord_sums", _coord_pass)[index]
 
 
 # Swapping the order of summation: linv over the openers counts the pairs
 # (opener j, element i) with j < i and i in an earlier block, which is ros;
 # likewise rinv over the closers is lcb and linv over the closers is rcs.
-def linv_openers(p: Partition) -> int:
-    return _memo(p, "_coord_sums", _coord_pass)[0]
-
-
-def rinv_closers(p: Partition) -> int:
-    return _memo(p, "_coord_sums", _coord_pass)[7]
-
-
-def linv_closers(p: Partition) -> int:
-    return _memo(p, "_coord_sums", _coord_pass)[2]
+linv_openers = _coord_sum_fn(0)
+rinv_closers = _coord_sum_fn(7)
+linv_closers = _coord_sum_fn(2)
 
 
 def mak_ls(p: SetPartition) -> tuple[int, ...]:
@@ -265,10 +256,6 @@ def binv(p: Partition) -> int:
     return total
 
 
-def _coord_sum_fn(index: int) -> Callable[[Partition], int]:
-    return lambda p: _memo(p, "_coord_sums", _coord_pass)[index]
-
-
 STATISTICS: dict[str, Callable[[Partition], int]] = {
     **{kind.name.lower(): _coord_sum_fn(i) for i, kind in enumerate(CoordKind)},
     "mak": mak,
@@ -301,14 +288,11 @@ def resolve_statistic(
     if "+" in name:
         parts = [resolve_statistic(part, l=l, b=b) for part in name.split("+")]
         return lambda p: sum(fn(p) for fn in parts)
-    if name == "mak_l":
+    if name in ("mak_l", "stat_i"):
         if l is None:
-            raise PartitionError("statistic mak_l needs a block index l")
-        return lambda p: mak_l(p, l)
-    if name == "stat_i":
-        if l is None:
-            raise PartitionError("statistic stat_i needs a block index l")
-        return lambda p: stat_i(p, l)
+            raise PartitionError(f"statistic {name} needs a block index l")
+        fn = mak_l if name == "mak_l" else stat_i
+        return lambda p: fn(p, l)
     if name in ELEMENT_STATISTICS:
         if b is None:
             raise PartitionError(f"statistic {name} needs an element b")

@@ -54,7 +54,7 @@ import struct
 import time
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import bijections, core, motzkin, stats
 from .qseries import QPolynomial, q_factorial, q_int, q_stirling
@@ -65,9 +65,6 @@ class Failure:
     witness: str
     expected: str
     actual: str
-
-    def to_json_dict(self) -> dict:
-        return {"witness": self.witness, "expected": self.expected, "actual": self.actual}
 
 
 @dataclass
@@ -85,16 +82,9 @@ class VerificationReport:
         return self.failure_count == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n_max": self.n_max,
-            "cases": self.cases,
-            "failure_count": self.failure_count,
-            "failures": [f.to_json_dict() for f in self.failures],
-            "detail": self.detail,
-            "passed": self.passed,
-            "wall_time_s": self.wall_time_s,
-        }
+        data = asdict(self)
+        wall_time_s = data.pop("wall_time_s")
+        return {**data, "passed": self.passed, "wall_time_s": wall_time_s}
 
     def render_text(self) -> str:
         lines = [

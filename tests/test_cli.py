@@ -213,6 +213,25 @@ def test_stats_checks_each_partition_text_once(capsys, monkeypatch):
         assert len(calls) == 1, text
 
 
+def test_cli_parse_renumbers_each_partition_text_once(monkeypatch):
+    # canonical() is built once and its word compared, not renumbered again
+    calls = []
+    renumber = core._first_occurrence_word
+
+    def counting(letters):
+        calls.append(letters)
+        return renumber(letters)
+
+    monkeypatch.setattr(core, "_first_occurrence_word", counting)
+    for text, kind in (
+        ("1,4,8/2,9/3,7/5,6", core.SetPartition),
+        ("3/1,2", core.OrderedSetPartition),
+    ):
+        calls.clear()
+        assert type(cli._parse_cli_partition(text)) is kind
+        assert len(calls) == 1, text
+
+
 def test_stats_no_names(capsys):
     code, out, err = run(["stats", "1,2", "-s", ""], capsys)
     assert code == 2
@@ -607,9 +626,11 @@ ORDERED_TEXTS = (
 
 def ordered_transcript(stdout_of) -> str:
     """Every command that builds ordered partitions: enumeration, genfun
-    with the block-order statistics, stats on out-of-order texts and the
-    euler-mahonian suite, as ``$ setpart ARGS`` lines each followed by the
-    command's stdout; ``stdout_of(args)`` runs one command."""
+    with the block-order statistics, stats on out-of-order texts (and the
+    element inversion counts at every element of each text and of its
+    canonical form) and the euler-mahonian suite, as ``$ setpart ARGS``
+    lines each followed by the command's stdout; ``stdout_of(args)`` runs
+    one command."""
     commands = [
         ["enumerate", "-n", "5", "--ordered"],
         ["enumerate", "-n", "4", "-k", "2", "--ordered", "--json"],
@@ -619,6 +640,10 @@ def ordered_transcript(stdout_of) -> str:
     for text in ORDERED_TEXTS:
         commands += [["stats", text], ["stats", text, "--per-element"]]
         commands += [["stats", text, "-s", "ros,rob,rcs,rcb,los,lob,lcs,lcb,bmaj,binv"]]
+        p = core.parse_ordered(text)
+        for form in (text, p.canonical().text()):
+            for b in range(1, p.n + 1):
+                commands.append(["stats", form, "-s", "rinv,nrinv,linv", "-b", str(b)])
     commands.append(["verify", "euler-mahonian", "--n-max", "6"])
     return "".join(f"$ setpart {shlex.join(args)}\n{stdout_of(args)}" for args in commands)
 

@@ -377,16 +377,16 @@ def test_an_ordered_partition_is_the_word_of_its_given_blocks():
 
 def test_an_ordered_partition_stores_only_its_word():
     # no block view until one is read: not from the constructor, the
-    # enumeration or is_canonical, which reads the word alone
+    # enumeration or canonical(), which reads the word alone
     for n in range(8):
         for op in enumerate_ordered(n):
-            op.is_canonical()
+            op.canonical()
             assert "blocks" not in op.__dict__
     for given in _given_ordered_blocks():
         op = OrderedSetPartition(given)
         assert op.__dict__.keys() == {"word"}
         minima = [min(block) for block in given]
-        assert op.is_canonical() == (minima == sorted(minima))
+        assert (op.canonical().word == op.word) == (minima == sorted(minima))
         assert "blocks" not in op.__dict__
         assert op.blocks == tuple(tuple(sorted(block)) for block in given)
 
@@ -510,15 +510,17 @@ def test_ordered_partitions():
     p = parse_ordered("3/1,2")
     assert p.blocks == ((3,), (1, 2))
     assert p.word == (2, 2, 1)
-    assert not p.is_canonical()
+    assert p.canonical().word != p.word
     assert p.canonical().text() == "1,2/3"
-    assert parse_ordered("1,2/3").is_canonical()
+    op = parse_ordered("1,2/3")
+    assert op.canonical().word == op.word
     with pytest.raises(ParseError):
         parse_ordered("1,1/2")
 
 
 def test_canonical_equals_from_blocks():
-    # canonical() numbers the checked word; from_blocks checks the blocks again
+    # canonical() numbers the checked word; from_blocks checks the blocks
+    # read back from it before numbering them the same way
     ordered = [op for n in range(7) for op in enumerate_ordered(n)]
     rng = random.Random(15)
     for word in LONG_SEEDED_WORDS:

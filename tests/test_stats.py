@@ -316,6 +316,26 @@ def test_coordinates_match_literal_definitions_on_ordered_partitions():
                 assert sums[kind] == oracles.coord_sum(op.blocks, *kind.value), (op.text(), kind)
 
 
+def test_per_element_counts_match_literal_definitions_on_ordered_partitions():
+    # every ordered partition with n <= 5, and shuffled words with more
+    # than 64 blocks, so the block masks span several machine words
+    ordered = [op for n in range(6) for op in enumerate_ordered(n)]
+    rng = random.Random(66)
+    for _ in range(3):
+        blocks = list(SetPartition(seeded_word(rng, 100, rng.randint(66, 80))).blocks)
+        rng.shuffle(blocks)
+        ordered.append(OrderedSetPartition(blocks))
+    for op in ordered:
+        blocks = op.blocks
+        for i in range(1, op.n + 1):
+            for kind in CoordKind:
+                want = oracles.coord(blocks, *kind.value, i)
+                assert coord_stat(op, kind, i) == want, (op.text(), kind, i)
+            assert rinv(i, op) == oracles.rinv(i, blocks), (op.text(), i)
+            assert nrinv(i, op) == oracles.nrinv(i, blocks), (op.text(), i)
+            assert linv(i, op) == oracles.linv(i, blocks), (op.text(), i)
+
+
 def test_coord_sums_all_returns_a_fresh_dict():
     p = parse_partition("1,4,8/2,9/3,7/5,6")
     sums = coord_sums_all(p)
