@@ -9,10 +9,14 @@ gamma, and the mirror image of opener a takes the gamma of the closer
 matched to a by level.  The same pass writes the image's word: an
 image opener or singleton opens a new rightmost block, an image closer
 or passant joins the gamma-th incomplete block from the left, a closer
-sealing it, and ``classify`` must find in that word the roles the pass
-wrote.  It also files every image element into its role row, once; the
-source's closer and passant rows are the mirrors of the image's opener
-and passant rows, so no row is filed twice or scanned for afterwards.
+sealing it.  The pass files only where the image's blocks start
+(openers and singletons) and end (closers and singletons), and the
+first and the last occurrences of the letters of the built word must
+fall exactly there; the two sets fix the singletons, the other openers
+and closers, and the passants.  ``phi_certificate`` pairs the source
+with that image, and its four gamma rows (closers and passants of each
+side) are views read off the two trace profiles when asked, so a caller
+that takes only the image builds neither a row nor the image's profile.
 The certificate and its rows are named tuples.
 
 The level matching is load-bearing, not a tie-break.  Opener a sits at
@@ -26,8 +30,9 @@ can demand an impossible insertion (smallest failures at n = 6).
 the set of block minima; on a partition with k+1 blocks it shifts
 stat_i by one: stat_i(p) = stat_{i+1}(phi_i(p)) - 1.  It writes its
 image word by swapping the letters i and i+1 of the moved elements; the
-minima must keep their positions and letters, so the word stays a
-restricted growth word.
+first occurrences of the built word's letters must stay at the source's
+openers, letter j at the j-th, so the word stays a restricted growth
+word.
 
 ``match_openers_closers`` pairs each non-singleton opener a with the
 smallest unused non-singleton closer at trace level l_a + 1, witnessing
@@ -43,7 +48,9 @@ from typing import NamedTuple
 from .core import (
     CLOSER,
     OPENER,
+    PASSANT,
     SINGLETON,
+    Kind,
     PartitionError,
     SetPartition,
     _require_canonical,
@@ -69,15 +76,24 @@ class GammaRow(NamedTuple):
         return {"values": list(self.values), "gammas": list(self.gammas)}
 
 
+def _row(p: SetPartition, kind: Kind) -> GammaRow:
+    """The non-singleton closers or the passants of ``p`` with their gammas,
+    read off its trace profile."""
+    profile = trace_profile(p)
+    values = tuple([i for i, k in enumerate(profile.kinds, start=1) if k is kind])
+    return GammaRow(values, tuple([profile.gamma[i - 1] for i in values]))
+
+
 class PhiCertificate(NamedTuple):
-    """Source, image, and the four gamma matrices behind one phi step."""
+    """Source and image of one phi step.  The four gamma matrices behind it
+    are views, each read off the trace profile of its side when asked."""
 
     source: SetPartition
     image: SetPartition
-    source_f: GammaRow
-    source_p: GammaRow
-    image_f: GammaRow
-    image_p: GammaRow
+    source_f = property(lambda self: _row(self.source, CLOSER))
+    source_p = property(lambda self: _row(self.source, PASSANT))
+    image_f = property(lambda self: _row(self.image, CLOSER))
+    image_p = property(lambda self: _row(self.image, PASSANT))
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,8 +106,12 @@ class PhiCertificate(NamedTuple):
         }
 
 
-def phi_certificate(p: SetPartition) -> PhiCertificate:
-    """The involution applied to ``p``, with its gamma matrices."""
+def _firsts(word: tuple[int, ...]) -> dict[int, int]:
+    """Each letter of ``word`` with the position of its first occurrence."""
+    return dict(zip(reversed(word), range(len(word), 0, -1)))
+
+
+def _mirror(p: SetPartition) -> SetPartition:
     p = _require_canonical(p, "phi is defined on canonically ordered partitions only")
     profile = trace_profile(p)
 
@@ -99,35 +119,26 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
     # right.  The mirror of a source opener takes the gamma of the closer
     # pushed last onto ``pending``, the one matched to it by level, and
     # joins the incomplete block that gamma names.  The same pass files
-    # each image element b into its image row (ascending); the source
-    # closers and passants are the mirrors n + 1 - b of the image openers
-    # and passants, so their rows are read off those at the end.
-    word, incomplete, pending = [], [], []  # incomplete: the image's, ascending
-    singles, openers, closers, closer_g, passants, passant_g = [], [], [], [], [], []
-    source_f_g = []  # the source closers' gammas, descending by element
+    # where the image's blocks start and where they end, ascending.
+    word, incomplete, pending, starts, ends = [], [], [], [], []  # incomplete: the image's
     top = 0
-    n = p.n
-    for b, kind, g in zip(range(1, n + 1), reversed(profile.kinds), reversed(profile.gamma)):
+    for b, kind, g in zip(range(1, p.n + 1), reversed(profile.kinds), reversed(profile.gamma)):
         if kind is CLOSER:  # an image opener
-            source_f_g.append(g)
             pending.append(g)
-            openers.append(b)
+            starts.append(b)
             top += 1
             word.append(top)
             incomplete.append(top)
             continue
         if kind is SINGLETON:
-            singles.append(b)
+            starts.append(b)
+            ends.append(b)
             top += 1
             word.append(top)
             continue
         if kind is OPENER:  # an image closer
             g = pending.pop()
-            closers.append(b)
-            closer_g.append(g)
-        else:  # a passant keeps its gamma
-            passants.append(b)
-            passant_g.append(g)
+            ends.append(b)
         if not 1 <= g <= len(incomplete):
             raise ConsistencyError(
                 f"transferred labels rejected: element {b}: "
@@ -138,24 +149,23 @@ def phi_certificate(p: SetPartition) -> PhiCertificate:
         raise ConsistencyError("transferred labels rejected: profile ends with unclosed blocks")
     image = SetPartition._trusted(tuple(word))
 
-    image_f = GammaRow(tuple(closers), tuple(closer_g))
-    image_p = GammaRow(tuple(passants), tuple(passant_g))
-    found = classify(image)  # an independent pass over the image's word
-    if (tuple(singles), tuple(openers), image_f.values, image_p.values) != (
-        found.singletons,
-        found.opener_nonsingletons,
-        found.closer_nonsingletons,
-        found.passants,
-    ):
+    # An independent reading of the built word: the first and the last
+    # position of each letter.
+    w = image.word
+    lasts = dict(zip(w, range(1, len(w) + 1)))
+    if sorted(_firsts(w).values()) != starts or sorted(lasts.values()) != ends:
         raise ConsistencyError("image classification does not mirror the source")
-    source_f = GammaRow(tuple([n + 1 - b for b in reversed(openers)]), tuple(reversed(source_f_g)))
-    source_p = GammaRow(tuple([n + 1 - b for b in reversed(passants)]), tuple(reversed(passant_g)))
-    return PhiCertificate(p, image, source_f, source_p, image_f, image_p)
+    return image
+
+
+def phi_certificate(p: SetPartition) -> PhiCertificate:
+    """The involution applied to ``p``, with its gamma matrices as views."""
+    return PhiCertificate(p, _mirror(p))
 
 
 def phi(p: SetPartition) -> SetPartition:
     """The mak/makp-exchanging involution."""
-    return phi_certificate(p).image
+    return _mirror(p)
 
 
 def phi_i(p: SetPartition, i: int) -> SetPartition:
@@ -184,10 +194,7 @@ def phi_i(p: SetPartition, i: int) -> SetPartition:
     image = SetPartition._trusted(tuple(word))
     # Same opener positions with the same letters: the word is still a
     # restricted growth word.
-    openers = classify(p).openers
-    if classify(image).openers != openers or any(
-        image.word[o - 1] != letter for letter, o in enumerate(openers, start=1)
-    ):
+    if _firsts(image.word) != dict(enumerate(classify(p).openers, start=1)):
         raise ConsistencyError(f"phi_{i} changed the openers of {p.text()}")
     return image
 

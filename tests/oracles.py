@@ -13,16 +13,20 @@ replaced (it keeps every check it had and hands its word to the checked
 ``SetPartition`` constructor), ``phi_i``, the former block-list
 exchange map, which ``bijections.phi_i`` replaced by editing the word
 (it splices and sorts the two blocks and hands them to the checked
-``SetPartition.from_blocks``), and the former recursive enumerators
+``SetPartition.from_blocks``), ``phi_certificate`` with its six-field
+``PhiCertificate``, the former pass that filed the four gamma rows as
+it wrote the image and checked the image against ``classify``, which
+``bijections.phi_certificate`` replaced by rows read off the two trace
+profiles when asked, and the former recursive enumerators
 ``_rgf_words`` and ``enumerate_paths``, which the successor steps of
 ``core._rgf_words`` and ``motzkin.enumerate_paths`` replaced.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from setpart.bijections import ConsistencyError
+from setpart.bijections import ConsistencyError, GammaRow
 from setpart.core import (
     CLOSER,
     OPENER,
@@ -31,6 +35,7 @@ from setpart.core import (
     SetPartition,
     _require_canonical,
     classify,
+    trace_profile,
 )
 from setpart.motzkin import _E1_STAR, _NE1, E, SE, LabeledMotzkinPath, PathError, Step
 
@@ -286,6 +291,90 @@ def phi_i(p: SetPartition, i: int) -> SetPartition:
     if classify(image).openers != classify(p).openers:
         raise ConsistencyError(f"phi_{i} changed the opener set of {p.text()}")
     return image
+
+
+class PhiCertificate(NamedTuple):
+    """Source, image, and the four gamma matrices behind one phi step."""
+
+    source: SetPartition
+    image: SetPartition
+    source_f: GammaRow
+    source_p: GammaRow
+    image_f: GammaRow
+    image_p: GammaRow
+
+    def to_json_dict(self) -> dict:
+        return {
+            "source": self.source.text(),
+            "image": self.image.text(),
+            "source_f": self.source_f.to_json_dict(),
+            "source_p": self.source_p.to_json_dict(),
+            "image_f": self.image_f.to_json_dict(),
+            "image_p": self.image_p.to_json_dict(),
+        }
+
+
+def phi_certificate(p: SetPartition) -> PhiCertificate:
+    """The involution applied to ``p``, with its gamma matrices."""
+    p = _require_canonical(p, "phi is defined on canonically ordered partitions only")
+    profile = trace_profile(p)
+
+    # Reading the source profile from n down to 1 writes the image left to
+    # right.  The mirror of a source opener takes the gamma of the closer
+    # pushed last onto ``pending``, the one matched to it by level, and
+    # joins the incomplete block that gamma names.  The same pass files
+    # each image element b into its image row (ascending); the source
+    # closers and passants are the mirrors n + 1 - b of the image openers
+    # and passants, so their rows are read off those at the end.
+    word, incomplete, pending = [], [], []  # incomplete: the image's, ascending
+    singles, openers, closers, closer_g, passants, passant_g = [], [], [], [], [], []
+    source_f_g = []  # the source closers' gammas, descending by element
+    top = 0
+    n = p.n
+    for b, kind, g in zip(range(1, n + 1), reversed(profile.kinds), reversed(profile.gamma)):
+        if kind is CLOSER:  # an image opener
+            source_f_g.append(g)
+            pending.append(g)
+            openers.append(b)
+            top += 1
+            word.append(top)
+            incomplete.append(top)
+            continue
+        if kind is SINGLETON:
+            singles.append(b)
+            top += 1
+            word.append(top)
+            continue
+        if kind is OPENER:  # an image closer
+            g = pending.pop()
+            closers.append(b)
+            closer_g.append(g)
+        else:  # a passant keeps its gamma
+            passants.append(b)
+            passant_g.append(g)
+        if not 1 <= g <= len(incomplete):
+            raise ConsistencyError(
+                f"transferred labels rejected: element {b}: "
+                f"gamma {g} outside the {len(incomplete)} incomplete blocks"
+            )
+        word.append(incomplete.pop(g - 1) if kind is OPENER else incomplete[g - 1])
+    if incomplete:
+        raise ConsistencyError("transferred labels rejected: profile ends with unclosed blocks")
+    image = SetPartition._trusted(tuple(word))
+
+    image_f = GammaRow(tuple(closers), tuple(closer_g))
+    image_p = GammaRow(tuple(passants), tuple(passant_g))
+    found = classify(image)  # an independent pass over the image's word
+    if (tuple(singles), tuple(openers), image_f.values, image_p.values) != (
+        found.singletons,
+        found.opener_nonsingletons,
+        found.closer_nonsingletons,
+        found.passants,
+    ):
+        raise ConsistencyError("image classification does not mirror the source")
+    source_f = GammaRow(tuple([n + 1 - b for b in reversed(openers)]), tuple(reversed(source_f_g)))
+    source_p = GammaRow(tuple([n + 1 - b for b in reversed(passants)]), tuple(reversed(passant_g)))
+    return PhiCertificate(p, image, source_f, source_p, image_f, image_p)
 
 
 def _rgf_words(n: int, k: int | None) -> Iterator[tuple[int, ...]]:

@@ -1,3 +1,6 @@
+import inspect
+from types import SimpleNamespace
+
 import pytest
 
 from setpart import bijections
@@ -110,17 +113,74 @@ def test_certificate_rows_equal_a_scan_of_each_profile():
             _scanned_row(image.kinds, image.gamma, CLOSER),
             _scanned_row(image.kinds, image.gamma, PASSANT),
         ), p.text()
+        # and against the former pass, which filed them as it wrote the image
+        assert cert.to_json_dict() == oracles.phi_certificate(p).to_json_dict(), p.text()
+
+
+def test_phi_builds_no_view_of_its_image():
+    # a caller that takes only the image pays for no row, no trace profile
+    # and no classification of it
+    for n in range(8):
+        for p in enumerate_partitions(n):
+            for image in (phi(p), phi_certificate(p).image):
+                assert image.__dict__.keys() == {"word"}, p.text()
 
 
 def test_phi_checks_the_image_against_the_written_roles(monkeypatch):
-    # an image whose word shows other roles than the pass wrote must not pass
+    # an image whose word shows other roles than the pass wrote must not
+    # pass: the first and last occurrences are read off the built word
     p = parse_partition("1,4,8/2/3,7,9/5,6")
     for wrong in ("1,2,3,4,5,6,7,8,9", "1/2/3/4/5/6/7/8/9", p.text()):
-        found = classify(parse_partition(wrong))
-        monkeypatch.setattr(bijections, "classify", lambda image: found)
+        built = parse_partition(wrong)
+        monkeypatch.setattr(bijections, "SetPartition", SimpleNamespace(_trusted=lambda w: built))
         with pytest.raises(ConsistencyError) as info:
             phi_certificate(p)
         assert str(info.value) == "image classification does not mirror the source"
+
+
+def _mutant(old: str, new: str):
+    # the mirror pass with one source line edited, run in bijections' namespace
+    source = inspect.getsource(bijections._mirror)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(bijections))
+    exec(source.replace(old, new), namespace)
+    return namespace["_mirror"]
+
+
+# An edit of the mirror pass, and how many of the 1,156 partitions with
+# n <= 7 it makes raise ConsistencyError.
+_MIRROR_MUTANTS = {
+    "a passant pops its block": (
+        "incomplete.pop(g - 1) if kind is OPENER else incomplete[g - 1]",
+        "incomplete.pop(g - 1)",
+        804,
+    ),
+    "a closer leaves its block open": (
+        "incomplete.pop(g - 1) if kind is OPENER else incomplete[g - 1]",
+        "incomplete[g - 1]",
+        1148,
+    ),
+    "a singleton is not filed as an end": (
+        "starts.append(b)\n            ends.append(b)",
+        "starts.append(b)",
+        935,
+    ),
+    "the first pending gamma instead of the last": ("pending.pop()", "pending.pop(0)", 406),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIRROR_MUTANTS))
+def test_phi_mutants_raise(name):
+    old, new, want = _MIRROR_MUTANTS[name]
+    mutant = _mutant(old, new)
+    raised = 0
+    for n in range(8):
+        for p in enumerate_partitions(n):
+            try:
+                mutant(p)
+            except ConsistencyError:
+                raised += 1
+    assert raised == want
 
 
 def _with_profile(monkeypatch, p, **fields):
