@@ -41,8 +41,8 @@ def _within_budget(size: int) -> None:
 
 
 # Largest n that enumerate, genfun and qstirling accept: `genfun -n 64`
-# takes 2.8-3.1 s and a 64.5 MB process peak (2-core Xeon, Python 3.11),
-# q_stirling(64, k) for all k takes seconds, and counting a family (for
+# takes 1.2-1.9 s and a 50.5 MB process peak (2-core Xeon, Python 3.11),
+# q_stirling(64, k) for all k takes 0.25-0.4 s, and counting a family (for
 # the budget) slows as n grows: all partitions of [1000] take minutes to
 # count.  Enumerations are held to verify.ENUMERATION_BUDGET as well.
 N_MAX = 64

@@ -20,6 +20,8 @@ in a dense tuple; the sparse mapping appears only at the boundary.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add, sub
 from typing import Callable, Iterable, Mapping
 
 from . import core
@@ -210,11 +212,22 @@ def q_factorial(k: int) -> QPolynomial:
     return out
 
 
+def _times_q_int(coeffs: list[int] | tuple[int, ...], j: int) -> list[int]:
+    """The coefficients of [j]_q times the polynomial of ``coeffs``, for
+    j >= 1: coefficient e is the sum of ``coeffs[e - j + 1 .. e]``, a
+    width-j window over their prefix sums."""
+    if not coeffs:
+        return []
+    sums = list(accumulate(coeffs))
+    return list(map(sub, sums + [sums[-1]] * (j - 1), [0] * j + sums[:-1]))
+
+
 _STIRLING_CACHE: dict[tuple[int, int], QPolynomial] = {}
 
 
 def q_stirling(n: int, k: int) -> QPolynomial:
-    """S_q(n, k) by the two-term recurrence, memoized by (n, k)."""
+    """S_q(n, k) by the two-term recurrence on coefficient lists, memoized
+    by (n, k)."""
     if n < 0 or k < 0:
         raise ValueError("q-Stirling numbers need n, k >= 0")
     if k > n:
@@ -223,16 +236,21 @@ def q_stirling(n: int, k: int) -> QPolynomial:
         return _STIRLING_CACHE[(n, k)]
     except KeyError:
         pass
+    zero = QPolynomial.zero()
     for m in range(0, n + 1):
         for j in range(0, min(m, k) + 1):
             if (m, j) in _STIRLING_CACHE:
                 continue
             if m == 0 or j == 0:
-                val = QPolynomial.one() if m == j else QPolynomial.zero()
+                val = QPolynomial.one() if m == j else zero
             else:
-                left = _STIRLING_CACHE.get((m - 1, j - 1), QPolynomial.zero())
-                right = _STIRLING_CACHE.get((m - 1, j), QPolynomial.zero())
-                val = left.shift(j - 1) + q_int(j) * right
+                # q^(j-1) S_q(m-1, j-1) + [j]_q S_q(m-1, j)
+                a = [0] * (j - 1) + list(_STIRLING_CACHE.get((m - 1, j - 1), zero)._coeffs)
+                b = _times_q_int(_STIRLING_CACHE.get((m - 1, j), zero)._coeffs, j)
+                if len(a) < len(b):
+                    a, b = b, a
+                a[: len(b)] = map(add, a, b)
+                val = QPolynomial._trusted(a)
             _STIRLING_CACHE[(m, j)] = val
     return _STIRLING_CACHE[(n, k)]
 

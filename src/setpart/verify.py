@@ -7,7 +7,9 @@ int, a fixed-width limb per coefficient, so that its steps are big-int
 shifts and adds; the states sit in one flat list indexed by (height,
 blocks opened), every step moves a row by a fixed index offset, and each
 final row is unpacked in one ``struct`` call while its limbs fit in 8
-bytes.  The unpacked counts must sum to Bell(n), or it raises.
+bytes.  Each step lifts a row by its closed blocks and walks the states
+band by band in height.  The unpacked counts must sum to Bell(n), or it
+raises.
 
 ``SUITES`` maps each suite name to its default range and to the list of
 its tasks, independent (cell function, args) pairs over the (n, k)
@@ -171,9 +173,12 @@ def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
     the mak coefficient list summed over all prefixes that reach it.
     Step i, with rem = n - i elements still to come, adds to mak
     rem + d for a closer, d for a passant (d = h - label ranging over
-    0..h-1), rem for a singleton and nothing for an opener.  The work is
-    polynomial in n instead of Bell(n).  ``threads`` is accepted for
-    compatibility and ignored.
+    0..h-1), rem for a singleton and nothing for an opener.  A block
+    closed at step c adds n - c, 1 per later step, so step i first lifts
+    each row by its opened - h closed blocks and then adds only the d
+    terms: a row grows with its prefix, not as wide as a final row from
+    the start.  The work is polynomial in n instead of Bell(n).
+    ``threads`` is accepted for compatibility and ignored.
 
     Each coefficient list is packed into one int, coefficient m in the
     W-bit limb m (Kronecker substitution q = x = 2^W), so the steps are
@@ -186,8 +191,10 @@ def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
     The states live in one flat list, (h, opened) at index
     h * (n + 2) + opened, so a closer, passant, singleton and opener move
     a row by the fixed offsets -(n + 2), 0, +1 and n + 3; each step fills
-    a fresh list, reading only the cells that its prefixes can reach and
-    skipping the empty ones.  While Bell(n) fits in 8 bytes (n <= 25), W
+    a fresh list, reading the reachable cells band by band (h from 0 to
+    min(i - 1, n - i + 1), opened from h to i - 1) and skipping the empty
+    ones; each band builds its doubling plan for 1 + x + ... + x^(h-1)
+    once.  While Bell(n) fits in 8 bytes (n <= 25), W
     is rounded up to 8, 16, 32 or 64 bits and each row is read with one
     little-endian ``struct.unpack`` call; wider limbs are read as
     ``int.from_bytes`` slices.
@@ -205,30 +212,35 @@ def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
     states[0] = 1
     for i in range(1, n + 1):
         rem = n - i
-        lift = rem * width
         nxt = [0] * len(states)
-        # after i - 1 steps, h <= min(i - 1, n - i + 1) and opened <= i - 1
-        for at, row in enumerate(states[: min(i - 1, n - i + 1) * stride + i]):
-            if not row:
-                continue
-            h = at // stride
-            if h:
-                # box = row * (1 + x + ... + x^(span-1)), grown by doubling
-                # to span = h along the bits of h below its leading one
-                box, span = row, 1
-                for bit in bin(h)[3:]:
-                    box += box << span * width
-                    span *= 2
-                    if bit == "1":
-                        box = (box << width) + row
-                        span += 1
-                nxt[at - stride] += box << lift  # closer
-                if h <= rem:
-                    nxt[at] += box  # passant
-            if h <= rem:
-                nxt[at + 1] += row << lift  # singleton
-            if h < rem:
-                nxt[at + stride + 1] += row  # opener
+        # after i - 1 steps, h <= min(i - 1, n - i + 1) and h <= opened <= i - 1
+        for h in range(min(i - 1, rem + 1) + 1):
+            # box = row * (1 + x + ... + x^(h-1)) by doubling along the bits
+            # of h below its leading one: (shift, add one more)
+            plan, span = [], 1
+            for bit in bin(h)[3:]:
+                plan.append((span * width, bit == "1"))
+                span = 2 * span + (bit == "1")
+            at = h * stride + h
+            # lift by the opened - h closed blocks
+            for lift in range(0, (i - h) * width, width):
+                row = states[at]
+                if row:
+                    row <<= lift
+                    if h:
+                        box = row
+                        for shift, one in plan:
+                            box += box << shift
+                            if one:
+                                box = (box << width) + row
+                        nxt[at - stride] += box  # closer
+                        if h <= rem:
+                            nxt[at] += box  # passant
+                    if h <= rem:
+                        nxt[at + 1] += row  # singleton
+                    if h < rem:
+                        nxt[at + stride + 1] += row  # opener
+                at += 1
         states = nxt
     # Every surviving state ends at height 0; a row's top limb is its
     # highest non-zero coefficient, so none needs trimming.

@@ -19,13 +19,22 @@ it wrote the image and checked the image against ``classify``, which
 ``bijections.phi_certificate`` replaced by rows read off the two trace
 profiles when asked, and the former recursive enumerators
 ``_rgf_words`` and ``enumerate_paths``, which the successor steps of
-``core._rgf_words`` and ``motzkin.enumerate_paths`` replaced.
+``core._rgf_words`` and ``motzkin.enumerate_paths`` replaced,
+``mak_histograms``, the former packed transfer DP that added a closer's
+or singleton's whole remaining count at the step where the block closed
+and walked every cell of the flat state list, which the per-step
+closed-block lift and the height bands of ``verify.mak_histograms``
+replaced, and ``q_stirling``, the former recurrence on ``QPolynomial``
+values that multiplied by ``q_int(j)`` term by term, which the window
+product of ``qseries.q_stirling`` replaced.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, NamedTuple
 
+from setpart import bijections, core
 from setpart.bijections import ConsistencyError, GammaRow
 from setpart.core import (
     CLOSER,
@@ -38,6 +47,8 @@ from setpart.core import (
     trace_profile,
 )
 from setpart.motzkin import _E1_STAR, _NE1, E, SE, LabeledMotzkinPath, PathError, Step
+from setpart.qseries import QPolynomial, q_int
+from setpart.verify import _STRUCT_CODES, _limb_bytes, bell_number
 
 
 def word_of(blocks):
@@ -482,3 +493,125 @@ def q_stirling_dict(n, k):
         for d in range(k):
             out[e + d] = out.get(e + d, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
+    """Coefficient lists of the mak distribution over the k-block
+    partitions of [n], for every k, by a transfer DP over labeled
+    Motzkin-path states.
+
+    ``mak_histograms(n)[k][m]`` is the number of partitions of [n] into
+    k blocks with mak equal to m.  Trailing zeros are trimmed and empty
+    rows left out.
+
+    A state is (h, blocks opened) after a prefix of the path; it carries
+    the mak coefficient list summed over all prefixes that reach it.
+    Step i, with rem = n - i elements still to come, adds to mak
+    rem + d for a closer, d for a passant (d = h - label ranging over
+    0..h-1), rem for a singleton and nothing for an opener.  The work is
+    polynomial in n instead of Bell(n).  ``threads`` is accepted for
+    compatibility and ignored.
+
+    Each coefficient list is packed into one int, coefficient m in the
+    W-bit limb m (Kronecker substitution q = x = 2^W), so the steps are
+    big-int shifts and adds.  Every prefix the DP keeps can still be
+    completed and distinct prefixes complete to distinct partitions, so
+    no coefficient ever exceeds Bell(n), and W = the bits of Bell(n)
+    rounded up to whole bytes never carries.  A carry would lower the sum
+    of the unpacked counts, which is checked against Bell(n).
+
+    The states live in one flat list, (h, opened) at index
+    h * (n + 2) + opened, so a closer, passant, singleton and opener move
+    a row by the fixed offsets -(n + 2), 0, +1 and n + 3; each step fills
+    a fresh list, reading only the cells that its prefixes can reach and
+    skipping the empty ones.  While Bell(n) fits in 8 bytes (n <= 25), W
+    is rounded up to 8, 16, 32 or 64 bits and each row is read with one
+    little-endian ``struct.unpack`` call; wider limbs are read as
+    ``int.from_bytes`` slices.
+    """
+    if n < 0:
+        raise core.PartitionError("n must be non-negative")
+    bell = bell_number(n)
+    size = _limb_bytes(bell)
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()  # 1, 2, 4 or 8: one struct code
+    width = 8 * size
+    # state (h, opened) at index h * stride + opened; h never exceeds n // 2
+    stride = n + 2
+    states = [0] * ((n // 2 + 2) * stride)
+    states[0] = 1
+    for i in range(1, n + 1):
+        rem = n - i
+        lift = rem * width
+        nxt = [0] * len(states)
+        # after i - 1 steps, h <= min(i - 1, n - i + 1) and opened <= i - 1
+        for at, row in enumerate(states[: min(i - 1, n - i + 1) * stride + i]):
+            if not row:
+                continue
+            h = at // stride
+            if h:
+                # box = row * (1 + x + ... + x^(span-1)), grown by doubling
+                # to span = h along the bits of h below its leading one
+                box, span = row, 1
+                for bit in bin(h)[3:]:
+                    box += box << span * width
+                    span *= 2
+                    if bit == "1":
+                        box = (box << width) + row
+                        span += 1
+                nxt[at - stride] += box << lift  # closer
+                if h <= rem:
+                    nxt[at] += box  # passant
+            if h <= rem:
+                nxt[at + 1] += row << lift  # singleton
+            if h < rem:
+                nxt[at + stride + 1] += row  # opener
+        states = nxt
+    # Every surviving state ends at height 0; a row's top limb is its
+    # highest non-zero coefficient, so none needs trimming.
+    code = _STRUCT_CODES.get(size)
+    hists = {}
+    for k, packed in enumerate(states[:stride]):
+        if packed:
+            count = -(-packed.bit_length() // width)
+            data = packed.to_bytes(count * size, "little")
+            if code:
+                hists[k] = list(struct.unpack(f"<{count}{code}", data))
+            else:
+                hists[k] = [
+                    int.from_bytes(data[j : j + size], "little") for j in range(0, len(data), size)
+                ]
+    total = sum(map(sum, hists.values()))
+    if total != bell:
+        raise bijections.ConsistencyError(
+            f"mak counts for n={n} sum to {total}, not Bell({n}) = {bell}: "
+            f"a {width}-bit coefficient overflowed"
+        )
+    return hists
+
+
+_STIRLING_CACHE: dict[tuple[int, int], QPolynomial] = {}
+
+
+def q_stirling(n: int, k: int) -> QPolynomial:
+    """S_q(n, k) by the two-term recurrence, memoized by (n, k)."""
+    if n < 0 or k < 0:
+        raise ValueError("q-Stirling numbers need n, k >= 0")
+    if k > n:
+        return QPolynomial.zero()
+    try:
+        return _STIRLING_CACHE[(n, k)]
+    except KeyError:
+        pass
+    for m in range(0, n + 1):
+        for j in range(0, min(m, k) + 1):
+            if (m, j) in _STIRLING_CACHE:
+                continue
+            if m == 0 or j == 0:
+                val = QPolynomial.one() if m == j else QPolynomial.zero()
+            else:
+                left = _STIRLING_CACHE.get((m - 1, j - 1), QPolynomial.zero())
+                right = _STIRLING_CACHE.get((m - 1, j), QPolynomial.zero())
+                val = left.shift(j - 1) + q_int(j) * right
+            _STIRLING_CACHE[(m, j)] = val
+    return _STIRLING_CACHE[(n, k)]

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ import oracles
 from setpart.core import PartitionError, enumerate_ordered, enumerate_partitions, parse_partition
 from setpart.qseries import (
     QPolynomial,
+    _times_q_int,
     generating_function,
     q_factorial,
     q_int,
@@ -96,6 +98,26 @@ def test_q_stirling_matches_literal_recurrence():
     for n in range(10):
         for k in range(n + 1):
             assert q_stirling(n, k).to_dict() == oracles.q_stirling_dict(n, k)
+
+
+def test_q_stirling_equals_the_former_recurrence():
+    for n in range(31):
+        for k in range(n + 2):
+            assert q_stirling(n, k) == oracles.q_stirling(n, k), (n, k)
+
+
+def test_window_product_equals_multiplication_by_q_int():
+    rng = random.Random(25)
+    for _ in range(300):
+        coeffs = [rng.randint(-10**30, 10**30) for _ in range(rng.randint(0, 40))]
+        if coeffs and rng.random() < 0.3:
+            coeffs[-1] = 0  # an untrimmed list
+        j = rng.randint(1, 45)
+        window = _times_q_int(coeffs, j)
+        assert QPolynomial(window) == QPolynomial(coeffs) * q_int(j), (coeffs, j)
+        assert len(window) == (len(coeffs) + j - 1 if coeffs else 0)
+    assert _times_q_int((1, 2, 3), 1) == [1, 2, 3]
+    assert _times_q_int((0, 3, 3, 1), 2) == [0, 3, 6, 4, 1]
 
 
 def test_q_stirling_counts_at_one():

@@ -586,6 +586,12 @@ def test_mak_dp_matches_q_stirling_and_bell_on_every_limb_width():
         assert sum(map(sum, hists.values())) == bell_number(n), n
 
 
+def test_mak_dp_equals_the_former_kernel():
+    # every limb width (n <= 26) and a wider one
+    for n in [*range(27), 40]:
+        assert mak_histograms(n) == oracles.mak_histograms(n), n
+
+
 def test_mak_dp_return_contract():
     assert mak_histograms(0) == {0: [1]}
     with pytest.raises(PartitionError):
