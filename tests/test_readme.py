@@ -1,9 +1,12 @@
+import ast
 import importlib
 import re
 import types
+from collections import Counter
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_library_quickstart_runs_verbatim():
@@ -42,3 +45,23 @@ def test_every_module_name_the_readme_cites_exists():
             obj = getattr(obj, part)
         checked += 1
     assert checked >= 10
+
+
+def test_each_extended_check_has_one_ci_step():
+    # Every CI step after the benchmark self-test runs one check of
+    # tests/extended.py, so a red step names its check.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    after = workflow.split("run: python3 perfbench/selftest.py\n", 1)[1]
+    runs = re.findall(r"^ +run: (.*)$", after, flags=re.M)
+    step = re.compile(r"PYTHONPATH=src:tests python -m pytest -q tests/extended\.py::(test_\w+)")
+    steps = [step.fullmatch(run) for run in runs]
+    assert all(steps), [run for run, m in zip(runs, steps) if m is None]
+    module = ast.parse((ROOT / "tests" / "extended.py").read_text(encoding="utf-8"))
+    named = Counter(m[1] for m in steps)
+    checks = Counter(
+        f.name for f in module.body if isinstance(f, ast.FunctionDef) and f.name.startswith("test_")
+    )
+    assert named == checks, (
+        f"checks with no step: {list(checks - named)}; "
+        f"steps with no check, or a second step: {list(named - checks)}"
+    )
