@@ -50,7 +50,8 @@ tuples) through ``_memo``.  Views live exactly as long as the object and
 take no part in equality or hashing.  Atoms indexed by a small int
 are shared by the process: ``_growing(make)`` gives ``upto(top)``, a
 tuple t with t[i] == make(i) for i <= top, built on first use and never
-changed, only replaced by a longer one.  ``text`` reads element names so.
+changed, only replaced by a longer one.  ``text`` reads element names so,
+and ``parse_ordered`` the numbers of names from their inverse table.
 
 ``enumerate_partitions`` steps from word to word in lexicographic order
 (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H).  It keeps the prefix maxima
@@ -63,19 +64,29 @@ partition is built with its word and ``k`` in one store.
 old block b becoming its position in the permutation, and stores ``k``
 and the permuted ``masks`` with it.
 
-Validation happens at the boundary only, in the two public
-constructors ``SetPartition(word)`` and ``OrderedSetPartition(blocks)``;
-every other way in goes through one of them.  The block check reads the
-blocks in order, each one sorted, reports the first defect it meets,
-names the smallest missing element last and returns every element's
-block position, which ``OrderedSetPartition`` keeps as its word.
-``canonical`` is the one place that renumbers a word, in order of first
-occurrence, with no second block check: ``SetPartition.from_blocks(b)``
-is ``OrderedSetPartition(b).canonical()`` and ``parse_partition(t)`` is
+Validation happens at the boundary only: in the two public
+constructors ``SetPartition(word)`` and ``OrderedSetPartition(blocks)``,
+and in ``parse_ordered`` for text.  The block check reads the blocks in
+order, each one sorted, reports the first defect it meets, names the
+smallest missing element last and returns every element's block
+position, which ``OrderedSetPartition`` keeps as its word.
+``parse_ordered`` reads each element name's number from the shared
+inverse of the name table and writes the name's written block position
+into the word, and accepts the text when every number is one of 1..n
+and each was written once, with no block check.  Any other text (a
+grammar error, a name such as ``01`` or ``٣`` that the table lacks, a
+number above n, a repeat or a gap) goes to the checked route: the
+grammar error, then ``int()`` on each name in order, then
+``OrderedSetPartition`` on the blocks, so it gives the same result or
+error as if the table had not been tried.  ``canonical`` is the one
+place that renumbers a word, in order of first occurrence, with no
+second block check: ``SetPartition.from_blocks(b)`` is
+``OrderedSetPartition(b).canonical()`` and ``parse_partition(t)`` is
 ``parse_ordered(t).canonical()``.  Words built valid go through the
 private ``Partition._trusted``, or for the enumerators the same store
-inline, without a second check: ``canonical``, ``motzkin.decode`` and
-the images of ``bijections.phi`` and ``bijections.phi_i``.
+inline, without a second check: ``canonical``, the accepted texts of
+``parse_ordered``, ``motzkin.decode`` and the images of
+``bijections.phi`` and ``bijections.phi_i``.
 """
 
 from __future__ import annotations
@@ -111,24 +122,27 @@ class _cached:
         return value
 
 
-def _growing(make: Callable[[int], _T]) -> Callable[[int], tuple[_T, ...]]:
-    """``upto(top)``: a shared tuple t with t[i] == make(i) for i <= top.
+def _growing(make: Callable[[int], _T], collect: Callable = tuple) -> Callable:
+    """``upto(top)``: a shared table t with t[i] == make(i) for i <= top,
+    by default a tuple; ``collect`` builds it from the items in order.
     A short one is replaced by one at least twice as long, never changed,
-    so a caller may read its tuple while another one grows the table."""
-    table: tuple[_T, ...] = ()
+    so a caller may read its table while another one grows it."""
+    table = collect(())
 
-    def upto(top: int) -> tuple[_T, ...]:
+    def upto(top: int):
         nonlocal table
         t = table
         if top >= len(t):
-            t = table = tuple(map(make, range(max(top + 1, 2 * len(t)))))
+            t = table = collect(map(make, range(max(top + 1, 2 * len(t)))))
         return t
 
     return upto
 
 
-# The decimal name of each element, for ``text``.
+# The decimal name of each element, for ``text``, and its inverse, the
+# number of each name, for ``parse_ordered``.
 _names = _growing(str)
+_numbers = _growing(str, lambda names: dict(zip(names, itertools.count())))
 
 
 class PartitionError(ValueError):
@@ -301,16 +315,6 @@ class OrderedSetPartition(Partition):
         return SetPartition._trusted(_first_occurrence_word(self.word))
 
 
-def _parse_blocks(text: str) -> list[list[int]]:
-    compact = "".join(text.split())
-    if not compact:
-        return []
-    blocks = [block.split(",") for block in compact.split("/")]
-    if not all(map(str.isdigit, itertools.chain.from_iterable(blocks))):
-        raise _parse_error(text, compact)
-    return [list(map(int, block)) for block in blocks]
-
-
 def _parse_error(text: str, compact: str) -> ParseError:
     """The error at the first element of ``compact`` (``text`` without
     whitespace) that is empty (placed at the separator after it, or the
@@ -329,8 +333,40 @@ def _parse_error(text: str, compact: str) -> ParseError:
 
 
 def parse_ordered(text: str) -> OrderedSetPartition:
-    """Parse the block grammar keeping the written block order."""
-    blocks = _parse_blocks(text)
+    """Parse the block grammar keeping the written block order.
+
+    One pass looks each element name up in the shared table ``_numbers``
+    and writes its written block's position into the word; a text that
+    pass cannot settle goes to ``_parse_checked``."""
+    compact = "".join(text.split())
+    names = compact.replace("/", ",").split(",")
+    n = len(names)
+    sizes = [block.count(",") + 1 for block in compact.split("/")]
+    word = [1] + [0] * n  # slot 0 is no element; a 0 left is an element never written
+    labels = itertools.chain.from_iterable(map(itertools.repeat, itertools.count(1), sizes))
+    try:
+        # each store returns None, so any() makes every one
+        any(map(word.__setitem__, map(_numbers(n).__getitem__, names), labels))
+    except (KeyError, IndexError):  # a name the table lacks, or a number above n
+        return _parse_checked(text, compact, names, sizes)
+    if 0 in word:  # a repeated (or a 0) element left one of 1..n unwritten
+        return _parse_checked(text, compact, names, sizes)
+    del word[0]
+    return OrderedSetPartition._trusted(tuple(word))
+
+
+def _parse_checked(
+    text: str, compact: str, names: list[str], sizes: list[int]
+) -> OrderedSetPartition:
+    """The partition, or the first error, of a text the table did not
+    settle: the grammar (``_parse_error``), then ``int()`` on each name in
+    order, then ``OrderedSetPartition`` on the blocks."""
+    if not compact:
+        return OrderedSetPartition(())
+    if not all(map(str.isdigit, names)):
+        raise _parse_error(text, compact)
+    numbers = map(int, names)
+    blocks = [list(itertools.islice(numbers, size)) for size in sizes]
     try:
         return OrderedSetPartition(blocks)
     except PartitionError as exc:

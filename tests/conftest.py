@@ -7,11 +7,6 @@ whole gate is readable at a glance.
 
 import re
 
-from hypothesis import settings
-
-settings.register_profile("suite", deadline=None)
-settings.load_profile("suite")
-
 CRITERIA = [
     ("C01", "fixture-fidelity"),
     ("C02", "mak-lmakp-pointwise"),

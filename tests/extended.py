@@ -23,7 +23,7 @@ from setpart.core import enumerate_partitions
 from setpart.qseries import q_stirling
 from setpart.verify import mak_histograms
 
-from test_cli import GOLDEN, assert_equals_golden
+from goldens import GOLDEN, assert_equals_golden
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -26,11 +26,16 @@ and walked every cell of the flat state list, which the per-step
 closed-block lift and the height bands of ``verify.mak_histograms``
 replaced, and ``q_stirling``, the former recurrence on ``QPolynomial``
 values that multiplied by ``q_int(j)`` term by term, which the window
-product of ``qseries.q_stirling`` replaced.
+product of ``qseries.q_stirling`` replaced, and ``parse_blocks`` with
+``parse_ordered``, the former text parser that split every block, called
+``int()`` on every element and handed the blocks to the checked
+``OrderedSetPartition``, which the name-table pass of
+``core.parse_ordered`` replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import Iterator, NamedTuple
 
@@ -40,8 +45,11 @@ from setpart.core import (
     CLOSER,
     OPENER,
     SINGLETON,
+    OrderedSetPartition,
+    ParseError,
     PartitionError,
     SetPartition,
+    _parse_error,
     _require_canonical,
     classify,
     trace_profile,
@@ -450,6 +458,25 @@ def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
             steps.pop()
 
     yield from rec(0, 0)
+
+
+def parse_blocks(text: str) -> list[list[int]]:
+    compact = "".join(text.split())
+    if not compact:
+        return []
+    blocks = [block.split(",") for block in compact.split("/")]
+    if not all(map(str.isdigit, itertools.chain.from_iterable(blocks))):
+        raise _parse_error(text, compact)
+    return [list(map(int, block)) for block in blocks]
+
+
+def parse_ordered(text: str) -> OrderedSetPartition:
+    """Parse the block grammar keeping the written block order."""
+    blocks = parse_blocks(text)
+    try:
+        return OrderedSetPartition(blocks)
+    except PartitionError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def all_partitions(n):

@@ -1,15 +1,18 @@
-"""The text boundary: block validation, ``from_blocks`` and ``text``.
+"""The text boundary: block validation, parsing, ``from_blocks`` and ``text``.
 
 The validator returns each element's block position and ``from_blocks``
 numbers those positions in order of first occurrence, which gives the
 restricted growth word.  It is checked here against a verbatim copy of
 the validator and block sort that it replaced: on seeded block lists with
 every defect kind, both must raise the same exception type with the same
-message, or build equal objects.
+message, or build equal objects.  The one-pass parser is checked the same
+way against the parser it replaced, ``oracles.parse_ordered``, on every
+small partition in every block order and on seeded text and junk.
 """
 
 import random
 
+import oracles
 import pytest
 
 from setpart.core import (
@@ -17,13 +20,13 @@ from setpart.core import (
     ParseError,
     PartitionError,
     SetPartition,
-    _parse_blocks,
+    enumerate_ordered,
     enumerate_partitions,
     parse_ordered,
     parse_partition,
 )
 
-from oracles import format_blocks
+from oracles import format_blocks, parse_blocks
 from test_core import seeded_word
 
 
@@ -75,7 +78,7 @@ def _ordered(blocks):
 
 def _parsed(build):
     def parse(text):
-        blocks = _parse_blocks(text)
+        blocks = parse_blocks(text)
         try:
             return build(blocks)
         except PartitionError as exc:
@@ -232,3 +235,104 @@ def test_shuffled_blocks_and_elements_give_the_canonical_text():
         assert q == p and q.text() == p.text()
         assert parse_partition(format_blocks(blocks)) == p
         assert parse_ordered(format_blocks(blocks)).canonical().text() == p.text()
+
+
+# -- the one-pass parse against the parser it replaced -----------------
+
+# the alphabet of test_cli_fuzz's junk, and names that are digits to
+# str.isdigit but not decimal names of 1..n: a non-ASCII digit, leading
+# zeros, 0, a digit int() rejects and a number far above any n
+_JUNK_CHARS = tuple("0123456789,/ x-+*^q()[]{}:\"NESE²")
+_ODD_NAMES = ("٣", "01", "007", "0", "²", "1234567890123456789012345")
+
+
+def _parse_outcome(parse, text):
+    try:
+        result = parse(text)
+    except Exception as exc:  # every failure is compared, not just ParseError
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return "ok", result
+
+
+def _check_parse(text: str) -> str:
+    """Require ``parse_ordered`` to give what the replaced parser gives on
+    ``text``, and ``parse_partition`` its canonical form or the same error;
+    return the outcome's kind."""
+    want = _parse_outcome(oracles.parse_ordered, text)
+    assert _parse_outcome(parse_ordered, text) == want, text
+    if want[0] == "ok":
+        want = ("ok", want[1].canonical())
+    assert _parse_outcome(parse_partition, text) == want, text
+    return "ok" if want[0] == "ok" else want[1].split(" (")[0]
+
+
+def _written(blocks, rng: random.Random | None = None) -> str:
+    """``blocks`` as text, or with ``rng`` with whitespace around and
+    between its tokens."""
+    if rng is None:
+        return format_blocks(blocks)
+
+    def space():
+        return rng.choice(("", " ", "  ", "\t", "\n"))
+
+    return space() + "/".join(
+        space() + ",".join(f"{space()}{x}{space()}" for x in block) + space() for block in blocks
+    )
+
+
+def test_parse_equals_the_replaced_parser_on_every_small_partition_in_every_block_order():
+    rng = random.Random(65)
+    for n in range(7):
+        for op in enumerate_ordered(n):
+            descending = [block[::-1] for block in op.blocks]
+            for text in (_written(op.blocks), _written(descending), _written(op.blocks, rng)):
+                assert _check_parse(text) == "ok", text
+
+
+def test_parse_equals_the_replaced_parser_on_seeded_text():
+    rng = random.Random(66)
+    for _ in range(200):
+        n = rng.randint(16, 64)
+        p = SetPartition(seeded_word(rng, n, rng.randint(1, n)))
+        blocks = [rng.sample(b, len(b)) for b in p.blocks]
+        rng.shuffle(blocks)
+        assert _check_parse(_written(blocks, rng if rng.random() < 0.5 else None)) == "ok"
+
+
+def _junk(rng: random.Random) -> str:
+    """Seeded junk: free text over the junk alphabet and the odd names, or
+    a small partition's text with tokens replaced, repeated, dropped or
+    inserted."""
+    pieces = _JUNK_CHARS + _ODD_NAMES
+    if rng.random() < 0.4:
+        return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+    n = rng.randint(1, 8)
+    word = seeded_word(rng, n, rng.randint(1, n))
+    tokens = list(_written(SetPartition(word).blocks).replace("/", ",/,").split(","))
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(tokens))
+        roll = rng.random()
+        if roll < 0.4:
+            tokens[at] = rng.choice(pieces + tuple(map(str, range(n + 2))))
+        elif roll < 0.6:
+            tokens.insert(at, tokens[rng.randrange(len(tokens))])
+        elif roll < 0.8 and len(tokens) > 1:
+            del tokens[at]
+        else:
+            tokens.insert(at, rng.choice(pieces))
+    return ",".join(tokens).replace(",/,", "/")
+
+
+def test_parse_equals_the_replaced_parser_on_seeded_junk():
+    rng = random.Random(67)
+    met = {_check_parse(text) for text in ("", " \t", "0", "1,0", "0,1/2", *_ODD_NAMES)}
+    met |= {_check_parse(_junk(rng)) for _ in range(4000)}
+    assert met >= {
+        "ok",
+        "expected an element",
+        "unexpected character 'x'",
+        "invalid literal for int() with base 10: '²'",
+    }
+    messages = " ".join(met)
+    for kind in ("appears twice", "appears in blocks", "missing", "positive integer"):
+        assert kind in messages, kind

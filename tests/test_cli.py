@@ -11,13 +11,13 @@ import random
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from setpart import cli, core, stats
 from setpart.stats import CoordKind
 
+from goldens import assert_equals_golden
 from test_core import seeded_word
 from test_stats import P2_ORDER, P2_ROWS
 
@@ -197,7 +197,8 @@ def test_stats_json(capsys):
 
 
 def test_stats_checks_each_partition_text_once(capsys, monkeypatch):
-    # canonical() numbers the word parse_ordered checked; it checks no block again
+    # parse_ordered's one pass settles a valid text with no block check, and
+    # canonical() checks no block again; only a defect is explained, once
     calls = []
     validate = core._validate_blocks
 
@@ -210,7 +211,11 @@ def test_stats_checks_each_partition_text_once(capsys, monkeypatch):
         calls.clear()
         code, out, _ = run(["stats", text], capsys)
         assert (code, out) == (0, "mak,makp,lmak,lmakp\n" + want + "\n")
-        assert len(calls) == 1, text
+        assert calls == [], text
+    calls.clear()
+    code, out, err = run(["stats", "1,1/2"], capsys)
+    assert (code, out, err) == (1, "", "error: element 1 appears twice in block 1\n")
+    assert len(calls) == 1
 
 
 def test_cli_parse_renumbers_each_partition_text_once(monkeypatch):
@@ -502,30 +507,6 @@ def test_motzkin_bad_path_json(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def assert_equals_golden(got: str, name: str) -> None:
-    """Require ``got`` to equal the golden file ``name`` exactly, failing
-    with the first differing line and both line counts: pytest's own
-    diff of two transcripts this long runs for minutes."""
-    want = (GOLDEN / name).read_text()
-    if got == want:
-        return
-    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
-    # None past the last line, so a shorter transcript differs at its end
-    line, got_line, want_line = next(
-        (i, g, w)
-        for i, (g, w) in enumerate(zip(got_lines + [None], want_lines + [None]), start=1)
-        if g != w
-    )
-    pytest.fail(
-        f"{name}: first difference at line {line}: got {got_line!r}, expected {want_line!r} "
-        f"({len(got_lines)} lines, expected {len(want_lines)})",
-        pytrace=False,
-    )
 
 
 def phi_motzkin_transcript(stdout_of) -> str:

@@ -33,6 +33,10 @@ from setpart.qseries import QPolynomial
 from oracles import format_blocks
 from test_core import rgf_words
 
+# No per-example deadline, loaded before the first @given reads the default.
+settings.register_profile("suite", deadline=None)
+settings.load_profile("suite")
+
 
 @st.composite
 def partition_texts(draw):

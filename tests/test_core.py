@@ -1,9 +1,10 @@
+import contextlib
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -22,6 +23,10 @@ from setpart.core import (
     trace_profile,
     _check_rgf,
 )
+
+# No per-example deadline, loaded before the first @given reads the default.
+settings.register_profile("suite", deadline=None)
+settings.load_profile("suite")
 
 EX_TEXT = "1,4,8/2/3,7,9/5,6"
 EX_BLOCKS = ((1, 4, 8), (2,), (3, 7, 9), (5, 6))
@@ -425,6 +430,26 @@ def test_text_reads_element_names_from_a_shared_table_that_only_grows():
     assert all(name == str(i) for i, name in enumerate(grown))
     # a shorter partition does not shrink it
     assert parse_partition("3/1,2").text() == "1,2/3" and core._names(0) is grown
+
+
+def test_element_numbers_grow_with_the_name_count_never_with_a_value():
+    # the inverse of _names grows like it, to the number of names in a
+    # text: a long name, or many equal ones, asks for no more than that
+    texts = (
+        ("1/" + "9" * 5000, 2),
+        (",".join(["007"] * 1000), 1000),
+        (SetPartition(seeded_word(random.Random(68), 64, 9)).text(), 64),
+    )
+    for text, names in texts:
+        held = core._numbers(0)
+        copy = dict(held)
+        with contextlib.suppress(ValueError):  # a ParseError, or int() refusing 5000 digits
+            parse_ordered(text)
+        now = core._numbers(0)
+        assert len(now) == (len(held) if names < len(held) else max(names + 1, 2 * len(held)))
+        # a table handed out earlier is never changed
+        assert held == copy
+        assert now == {str(i): i for i in range(len(now))}
 
 
 def test_partition_has_no_public_constructor():

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +18,10 @@ from setpart.qseries import (
     shifted_stirling,
 )
 from setpart.stats import mak, resolve_statistic
+
+# No per-example deadline, loaded before the first @given reads the default.
+settings.register_profile("suite", deadline=None)
+settings.load_profile("suite")
 
 polys = st.builds(QPolynomial, st.lists(st.integers(-9, 9), max_size=8))
 

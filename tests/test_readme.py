@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -49,11 +52,14 @@ def test_every_module_name_the_readme_cites_exists():
 
 def test_each_extended_check_has_one_ci_step():
     # Every CI step after the benchmark self-test runs one check of
-    # tests/extended.py, so a red step names its check.
+    # tests/extended.py, so a red step names its check, without the
+    # hypothesis plugin, which would import hypothesis at the end of the run.
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     after = workflow.split("run: python3 perfbench/selftest.py\n", 1)[1]
     runs = re.findall(r"^ +run: (.*)$", after, flags=re.M)
-    step = re.compile(r"PYTHONPATH=src:tests python -m pytest -q tests/extended\.py::(test_\w+)")
+    step = re.compile(
+        r"PYTHONPATH=src:tests python -m pytest -q -p no:hypothesispytest tests/extended\.py::(test_\w+)"
+    )
     steps = [step.fullmatch(run) for run in runs]
     assert all(steps), [run for run, m in zip(runs, steps) if m is None]
     module = ast.parse((ROOT / "tests" / "extended.py").read_text(encoding="utf-8"))
@@ -65,3 +71,18 @@ def test_each_extended_check_has_one_ci_step():
         f"checks with no step: {list(checks - named)}; "
         f"steps with no check, or a second step: {list(named - checks)}"
     )
+
+
+def test_extended_checks_do_not_load_hypothesis():
+    # each CI step imports tests/extended.py afresh; hypothesis, which no
+    # extended check uses, would cost most of that step's start-up
+    probe = "import sys, extended; print(sorted(m for m in sys.modules if 'hypothesis' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": "src:tests"},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

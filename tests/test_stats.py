@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import oracles
 from setpart import stats
@@ -37,6 +37,10 @@ from setpart.stats import (
     stat_i,
 )
 from test_core import LONG_SEEDED_WORDS, SEEDED_WORDS, rgf_words, seeded_word
+
+# No per-example deadline, loaded before the first @given reads the default.
+settings.register_profile("suite", deadline=None)
+settings.load_profile("suite")
 
 P2 = parse_partition("1,4,8/2,9/3,7/5,6")
 P3 = parse_partition("1,4,8/2/3,7,9/5,6")
