@@ -76,7 +76,8 @@ into the word, and accepts the text when every number is one of 1..n
 and each was written once, with no block check.  Any other text (a
 grammar error, a name such as ``01`` or ``٣`` that the table lacks, a
 number above n, a repeat or a gap) goes to the checked route: the
-grammar error, then ``int()`` on each name in order, then
+grammar error, then ``int()`` on each name in order (a decimal name
+over int()'s digit limit is a ParseError at that name), then
 ``OrderedSetPartition`` on the blocks, so it gives the same result or
 error as if the table had not been tried.  ``canonical`` is the one
 place that renumbers a word, in order of first occurrence, with no
@@ -95,7 +96,6 @@ import enum
 import itertools
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 _T = TypeVar("_T")
@@ -225,15 +225,20 @@ def _first_occurrence_word(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(label.__getitem__, letters))
 
 
-@dataclass(frozen=True, init=False)
 class Partition:
     """A partition of [n] stored as its block-index word, where w_i is the
     block that holds i; the block view, ``n``, ``k`` and the text are read
     off the word.  It has no public constructor: build a ``SetPartition``
     or an ``OrderedSetPartition``.
+
+    A partition is a frozen value: it equals only a partition of its own
+    class with the same word, hashes and prints by its word, matches the
+    positional pattern ``SetPartition(word)``, and refuses assignment and
+    deletion of any attribute.  Its views live in its instance dict.
     """
 
     word: tuple[int, ...]
+    __match_args__ = ("word",)
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a SetPartition or an OrderedSetPartition")
@@ -242,8 +247,25 @@ class Partition:
     def _trusted(cls, word: tuple[int, ...]):
         """The partition of ``word``, built valid by the caller; no check."""
         p = object.__new__(cls)
-        object.__setattr__(p, "word", word)
+        p.__dict__["word"] = word
         return p
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(word={self.word!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @_cached
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -277,7 +299,6 @@ class Partition:
         return self.text()
 
 
-@dataclass(frozen=True)
 class SetPartition(Partition):
     """A partition of [n] with blocks in increasing order of minima.
 
@@ -286,20 +307,22 @@ class SetPartition(Partition):
 
     >>> SetPartition.from_blocks([[2, 1], [3]]).text()
     '1,2/3'
+    >>> SetPartition([1, 2, 1])
+    SetPartition(word=(1, 2, 1))
     >>> SetPartition([1, 2, 1]).blocks
     ((1, 3), (2,))
     """
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-        _check_rgf(self.word)
+    def __init__(self, word: Iterable[int]):
+        word = tuple(word)
+        _check_rgf(word)
+        self.__dict__["word"] = word
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Iterable[int]]) -> "SetPartition":
         return OrderedSetPartition(blocks).canonical()
 
 
-@dataclass(frozen=True, init=False)
 class OrderedSetPartition(Partition):
     """A partition of [n] whose block order carries meaning.
 
@@ -309,10 +332,29 @@ class OrderedSetPartition(Partition):
     """
 
     def __init__(self, blocks: Sequence[Iterable[int]]):
-        object.__setattr__(self, "word", tuple(_validate_blocks(blocks)))
+        self.__dict__["word"] = tuple(_validate_blocks(blocks))
 
     def canonical(self) -> SetPartition:
         return SetPartition._trusted(_first_occurrence_word(self.word))
+
+
+def _located(text: str, at: int) -> int:
+    """Where offset ``at`` of ``text`` without whitespace lies in
+    ``text``; its end lies at the end of ``text``."""
+    positions = [pos for pos, ch in enumerate(text) if not ch.isspace()] + [len(text)]
+    return positions[at]
+
+
+def _number(text: str, name: str, at: int) -> int:
+    """``int(name)`` for the element name at offset ``at`` of ``text``
+    without whitespace.  A decimal name that int() refuses is over its
+    digit limit, and no element of a text that short: a ParseError there."""
+    try:
+        return int(name)
+    except ValueError:
+        if not name.isdecimal():
+            raise  # a digit int() rejects, such as "²", keeps int()'s message
+        raise ParseError(f"element of {len(name)} digits is too large", _located(text, at)) from None
 
 
 def _parse_error(text: str, compact: str) -> ParseError:
@@ -323,13 +365,12 @@ def _parse_error(text: str, compact: str) -> ParseError:
     for element in re.split("[,/]", compact):
         if not element.isdigit():
             break
-        int(element)  # read in order, so one int() rejects ("1²") raises first
+        _number(text, element, at)  # read in order, so one int() rejects ("1²") raises first
         at += len(element) + 1
-    positions = [pos for pos, ch in enumerate(text) if not ch.isspace()] + [len(text)]
     for i, ch in enumerate(element):
         if not ch.isdigit():
-            return ParseError(f"unexpected character {ch!r}", positions[at + i])
-    return ParseError("expected an element", positions[at])
+            return ParseError(f"unexpected character {ch!r}", _located(text, at + i))
+    return ParseError("expected an element", _located(text, at))
 
 
 def parse_ordered(text: str) -> OrderedSetPartition:
@@ -360,12 +401,13 @@ def _parse_checked(
 ) -> OrderedSetPartition:
     """The partition, or the first error, of a text the table did not
     settle: the grammar (``_parse_error``), then ``int()`` on each name in
-    order, then ``OrderedSetPartition`` on the blocks."""
+    order (``_number``), then ``OrderedSetPartition`` on the blocks."""
     if not compact:
         return OrderedSetPartition(())
     if not all(map(str.isdigit, names)):
         raise _parse_error(text, compact)
-    numbers = map(int, names)
+    offsets = itertools.accumulate((len(name) + 1 for name in names), initial=0)
+    numbers = map(_number, itertools.repeat(text), names, offsets)
     blocks = [list(itertools.islice(numbers, size)) for size in sizes]
     try:
         return OrderedSetPartition(blocks)

@@ -53,8 +53,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import CLOSER, OPENER, SINGLETON
 from .core import SetPartition, _growing, trace_profile
@@ -79,14 +78,19 @@ class Step(NamedTuple):
         return f"{self.kind}({self.label}{star})"
 
 
-@dataclass(frozen=True)
 class LabeledMotzkinPath:
-    steps: tuple[Step, ...]
+    """A checked labeled Motzkin path: a frozen value that equals only a
+    path with the same steps, hashes and prints by its steps, matches the
+    positional pattern ``LabeledMotzkinPath(steps)`` and refuses
+    assignment and deletion of any attribute."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    steps: tuple[Step, ...]
+    __match_args__ = ("steps",)
+
+    def __init__(self, steps: Iterable[Step]):
+        steps = tuple(steps)
         h = 0
-        for idx, (kind, label, starred) in enumerate(self.steps, start=1):
+        for idx, (kind, label, starred) in enumerate(steps, start=1):
             if kind not in _KINDS:
                 raise PathError(f"step {idx}: unknown kind {kind!r}")
             if starred and kind != E:
@@ -106,13 +110,31 @@ class LabeledMotzkinPath:
                     h -= 1
         if h != 0:
             raise PathError(f"path ends at height {h}, not 0")
+        self.__dict__["steps"] = steps
 
     @classmethod
     def _trusted(cls, steps: tuple[Step, ...]) -> "LabeledMotzkinPath":
         """The path of ``steps``, built valid by the caller; no check."""
         path = object.__new__(cls)
-        object.__setattr__(path, "steps", steps)
+        path.__dict__["steps"] = steps
         return path
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(steps={self.steps!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def heights(self) -> tuple[int, ...]:
         """Height before each step (prepended start height 0 excluded)."""

@@ -55,28 +55,27 @@ import os
 import struct
 import time
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import bijections, core, motzkin, stats
 from .qseries import QPolynomial, q_factorial, q_int, q_stirling
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     witness: str
     expected: str
     actual: str
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     n_max: int
     cases: int
     failure_count: int
     failures: list[Failure]
-    detail: dict[str, int] = field(default_factory=dict)
+    detail: Mapping[str, int] = MappingProxyType({})  # read-only, so one default serves all
     wall_time_s: float = 0.0
 
     @property
@@ -84,8 +83,10 @@ class VerificationReport:
         return self.failure_count == 0
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
+        data = self._asdict()
         wall_time_s = data.pop("wall_time_s")
+        data["failures"] = [f._asdict() for f in self.failures]
+        data["detail"] = dict(self.detail)
         return {**data, "passed": self.passed, "wall_time_s": wall_time_s}
 
     def render_text(self) -> str:
@@ -362,13 +363,15 @@ def _eq4(p: core.SetPartition) -> Iterator[tuple[str, str]]:
     cls = core.classify(p)
     openers, closers = set(cls.openers), set(cls.closers)
     total = 0
+    above, below = len(openers), 0  # openers after i and closers before i
     for i in range(1, n + 1):
-        above = sum(1 for a in openers if a > i)
-        below = sum(1 for a in closers if a < i)
+        opens = i in openers
+        above -= opens
         term = prof.l[i - 1] + above + below
         total += term
-        if (1 if i in openers else 0) + term != k:
-            yield f"element identity k = {k} at i={i}", str((i in openers) + term)
+        if opens + term != k:
+            yield f"element identity k = {k} at i={i}", str(opens + term)
+        below += i in closers
     if len(openers) + total != n * k:
         yield f"summed identity nk = {n * k}", str(len(openers) + total)
 

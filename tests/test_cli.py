@@ -2,15 +2,18 @@
 
 Each test drives cli.main directly with an argv list and inspects the
 captured stdout/stderr plus the exit code, so the pins match exactly what
-a shell user sees.  One subprocess smoke test confirms the module entry
-point works outside the test process.
+a shell user sees.  Two subprocess tests confirm that the module entry
+point works outside the test process and that importing the CLI loads
+neither dataclasses nor inspect.
 """
 
 import json
+import os
 import random
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -804,3 +807,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,2/3\n1,3/2\n1/2,3\n"
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # every command is a process that imports setpart.cli first; the two
+    # modules cost several ms of that start-up.  Only what the import adds
+    # counts, so a site hook that loads them does not fail this test.
+    probe = (
+        "import sys; before = set(sys.modules); import setpart.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=Path(__file__).resolve().parent.parent,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

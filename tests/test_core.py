@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from setpart.core import (
     trace_profile,
     _check_rgf,
 )
+from setpart.motzkin import LabeledMotzkinPath, Step
 
 # No per-example deadline, loaded before the first @given reads the default.
 settings.register_profile("suite", deadline=None)
@@ -136,10 +139,14 @@ MALFORMED = {
     "1,2//": ("expected an element", 4),
     "2": ("element 1 is missing (ground set has 1 elements)", None),
     "1,2/0": ("element 0 in block 2 is not a positive integer", None),
+    # names over int()'s 4300-digit limit, read by the checked route and
+    # before a grammar error
+    "1/" + "9" * 5000: ("element of 5000 digits is too large", 2),
+    " 1, " + "9" * 5000 + "/x": ("element of 5000 digits is too large", 4),
 }
 
 
-@pytest.mark.parametrize("text", MALFORMED)
+@pytest.mark.parametrize("text", MALFORMED, ids=lambda t: f"{t[:8]}...{len(t)}" if len(t) > 99 else None)
 def test_malformed_text_messages_and_positions(text):
     message, position = MALFORMED[text]
     for parse in (parse_partition, parse_ordered):
@@ -269,6 +276,46 @@ def test_equality_and_hash_ignore_the_cached_views():
         assert hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
         assert len({warm, cold}) == 1
+
+
+_PATH = (Step("NE", 1), Step("E", 1, True), Step("SE", 1))
+_PATH_REPR = (
+    "LabeledMotzkinPath(steps=(Step(kind='NE', label=1, starred=False), "
+    "Step(kind='E', label=1, starred=True), Step(kind='SE', label=1, starred=False)))"
+)
+
+
+@pytest.mark.parametrize(
+    "value, field, text",
+    [
+        (SetPartition((1, 2, 1)), "word", "SetPartition(word=(1, 2, 1))"),
+        (OrderedSetPartition([[2], [1, 3]]), "word", "OrderedSetPartition(word=(2, 1, 2))"),
+        (LabeledMotzkinPath(_PATH), "steps", _PATH_REPR),
+    ],
+)
+def test_partitions_and_paths_are_frozen_values(value, field, text):
+    cls, key = type(value), getattr(value, field)
+    # equal only to its own class: the same key in another class, or bare, is not
+    for other in (SetPartition, OrderedSetPartition, LabeledMotzkinPath):
+        twin = other._trusted(key)
+        assert (value == twin) is (other is cls) and (value != twin) is (other is not cls)
+    assert value != key and value != (key,)
+    assert value != cls._trusted(key[:-1])
+    assert hash(value) == hash((key,))
+    assert repr(value) == text
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+    match value:
+        case cls(got) if got is key:
+            pass
+        case _:
+            pytest.fail(f"{text} does not match {cls.__name__}({field})")
+    for name in (field, "other"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, key)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    assert getattr(value, field) is key and "other" not in vars(value)
 
 
 def test_rebuild_inverts_trace():
@@ -443,7 +490,7 @@ def test_element_numbers_grow_with_the_name_count_never_with_a_value():
     for text, names in texts:
         held = core._numbers(0)
         copy = dict(held)
-        with contextlib.suppress(ValueError):  # a ParseError, or int() refusing 5000 digits
+        with contextlib.suppress(ParseError):  # the name of 5000 digits, and the repeats
             parse_ordered(text)
         now = core._numbers(0)
         assert len(now) == (len(held) if names < len(held) else max(names + 1, 2 * len(held)))

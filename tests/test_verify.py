@@ -86,6 +86,13 @@ def test_failed_report_rendering():
     data = report.to_json_dict()
     assert data["passed"] is False
     assert data["failures"][0]["witness"] == "1,2/3"
+    # the JSON keys in their printed order
+    keys = ["suite", "n_max", "cases", "failure_count", "failures", "detail", "passed", "wall_time_s"]
+    assert list(data) == keys
+    assert [list(f.items()) for f in data["failures"]] == [
+        [("witness", "1,2/3"), ("expected", "0"), ("actual", "1")]
+    ]
+    assert data["detail"] == {"n=3": 7}
 
 
 def test_threads_do_not_change_the_report():
