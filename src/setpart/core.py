@@ -42,7 +42,10 @@ l_i is its length before element i, and gamma_i is one plus the
 position of i's block in it.  An opener or singleton starts a new
 rightmost block, a closer leaves the list.
 
-Partitions are immutable, so each object computes a view once, on first
+Partitions are immutable: ``Partition`` and ``motzkin.LabeledMotzkinPath``
+derive from ``_Value``, the one frozen-value base, which writes equality,
+hashing, repr, str, the refusals and ``_trusted`` once for the field
+named in ``__match_args__``.  Each object computes a view once, on first
 request, and keeps it in its instance dict: ``blocks``, ``k`` and
 ``masks`` (one int per block, with bit i - 1 set for each element i)
 through ``_cached``, the classification and the trace profile (named
@@ -84,7 +87,7 @@ place that renumbers a word, in order of first occurrence, with no
 second block check: ``SetPartition.from_blocks(b)`` is
 ``OrderedSetPartition(b).canonical()`` and ``parse_partition(t)`` is
 ``parse_ordered(t).canonical()``.  Words built valid go through the
-private ``Partition._trusted``, or for the enumerators the same store
+private ``_Value._trusted``, or for the enumerators the same store
 inline, without a second check: ``canonical``, the accepted texts of
 ``parse_ordered``, ``motzkin.decode`` and the images of
 ``bijections.phi`` and ``bijections.phi_i``.
@@ -225,16 +228,59 @@ def _first_occurrence_word(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(label.__getitem__, letters))
 
 
-class Partition:
+_new = object.__new__  # read once, not per object built
+
+
+class _Value:
+    """A frozen value of one field, named once per class by its
+    ``__match_args__``: it equals only a value of its own class with an
+    equal field, hashes as ``hash((field,))``, prints as
+    ``Class(field=...)`` and as its ``text()``, matches the pattern
+    ``Class(field)``, and refuses assignment and deletion of any
+    attribute.  The field and its views live in the instance dict."""
+
+    _field: str
+
+    def __init_subclass__(cls):
+        (cls._field,) = cls.__match_args__
+
+    @classmethod
+    def _trusted(cls, value):
+        """An object of this class holding ``value``, built valid by the
+        caller; no check."""
+        obj = _new(cls)
+        obj.__dict__[cls._field] = value
+        return obj
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            field = self._field
+            return self.__dict__[field] == other.__dict__[field]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.__dict__[self._field],))
+
+    def __repr__(self) -> str:
+        field = self._field
+        return f"{type(self).__qualname__}({field}={self.__dict__[field]!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __str__(self) -> str:
+        return self.text()
+
+
+class Partition(_Value):
     """A partition of [n] stored as its block-index word, where w_i is the
     block that holds i; the block view, ``n``, ``k`` and the text are read
     off the word.  It has no public constructor: build a ``SetPartition``
-    or an ``OrderedSetPartition``.
-
-    A partition is a frozen value: it equals only a partition of its own
-    class with the same word, hashes and prints by its word, matches the
-    positional pattern ``SetPartition(word)``, and refuses assignment and
-    deletion of any attribute.  Its views live in its instance dict.
+    or an ``OrderedSetPartition``.  It is a frozen value (``_Value``) of
+    its word, which it equals, hashes and prints by.
     """
 
     word: tuple[int, ...]
@@ -242,30 +288,6 @@ class Partition:
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a SetPartition or an OrderedSetPartition")
-
-    @classmethod
-    def _trusted(cls, word: tuple[int, ...]):
-        """The partition of ``word``, built valid by the caller; no check."""
-        p = object.__new__(cls)
-        p.__dict__["word"] = word
-        return p
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.word,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(word={self.word!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @_cached
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -294,9 +316,6 @@ class Partition:
         for i, letter in enumerate(self.word, start=1):
             parts[letter - 1].append(names[i])
         return "/".join(map(",".join, parts))
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 class SetPartition(Partition):
@@ -570,9 +589,8 @@ def enumerate_partitions(n: int, k: int | None = None) -> Iterator[SetPartition]
     """
     if n < 0 or (k is not None and k < 0):
         raise PartitionError("n and k must be non-negative")
-    new = object.__new__
     for word, top in _rgf_words(n, k):
-        p = new(SetPartition)
+        p = _new(SetPartition)
         p.__dict__.update(word=word, k=top)  # the word and the known k in one store
         yield p
 
@@ -581,12 +599,11 @@ def enumerate_ordered(n: int, k: int | None = None) -> Iterator[OrderedSetPartit
     """All ordered partitions of [n]: canonical partitions in word order,
     each expanded through its block permutations in lexicographic order,
     each built with its ``k`` and ``masks``."""
-    new = object.__new__
     for p in enumerate_partitions(n, k):
         word, top = p.word, p.k
         perms = itertools.permutations(range(1, top + 1))
         for perm, masks in zip(perms, itertools.permutations(p.masks)):
             place = ((0,) + perm).index  # old block index -> its position in the new order
-            op = new(OrderedSetPartition)
+            op = _new(OrderedSetPartition)
             op.__dict__.update(word=tuple(map(place, word)), k=top, masks=masks)
             yield op

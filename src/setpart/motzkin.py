@@ -28,8 +28,9 @@ Validation happens at the boundary only: the ``LabeledMotzkinPath``
 constructor, ``parse``, ``from_json_dict`` and ``reflect`` check every
 step.  ``encode`` builds its path from a trace profile, and
 ``enumerate_paths`` by steps after which the path can still return to 0;
-both are valid by construction and go through the private
-``LabeledMotzkinPath._trusted``.  ``decode`` trusts its path, checked or
+both are valid by construction and go through the private ``_trusted``
+of ``core._Value``, the one frozen-value base that ``LabeledMotzkinPath``
+shares with the partitions.  ``decode`` trusts its path, checked or
 built valid when it was made.
 
 ``enumerate_paths`` numbers the choices of a step leaving height h as
@@ -56,7 +57,7 @@ import re
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import CLOSER, OPENER, SINGLETON
-from .core import SetPartition, _growing, trace_profile
+from .core import SetPartition, _growing, _Value, trace_profile
 
 NE, SE, E = "NE", "SE", "E"
 _KINDS = (NE, SE, E)
@@ -78,11 +79,9 @@ class Step(NamedTuple):
         return f"{self.kind}({self.label}{star})"
 
 
-class LabeledMotzkinPath:
-    """A checked labeled Motzkin path: a frozen value that equals only a
-    path with the same steps, hashes and prints by its steps, matches the
-    positional pattern ``LabeledMotzkinPath(steps)`` and refuses
-    assignment and deletion of any attribute."""
+class LabeledMotzkinPath(_Value):
+    """A checked labeled Motzkin path: a frozen value (``core._Value``) of
+    its steps, which it equals, hashes and prints by."""
 
     steps: tuple[Step, ...]
     __match_args__ = ("steps",)
@@ -112,30 +111,6 @@ class LabeledMotzkinPath:
             raise PathError(f"path ends at height {h}, not 0")
         self.__dict__["steps"] = steps
 
-    @classmethod
-    def _trusted(cls, steps: tuple[Step, ...]) -> "LabeledMotzkinPath":
-        """The path of ``steps``, built valid by the caller; no check."""
-        path = object.__new__(cls)
-        path.__dict__["steps"] = steps
-        return path
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.steps == other.steps
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.steps,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(steps={self.steps!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def heights(self) -> tuple[int, ...]:
         """Height before each step (prepended start height 0 excluded)."""
         out = []
@@ -150,9 +125,6 @@ class LabeledMotzkinPath:
 
     def text(self) -> str:
         return " ".join(step.text() for step in self.steps)
-
-    def __str__(self) -> str:
-        return self.text()
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,13 +167,22 @@ class LabeledMotzkinPath:
                 data = json.loads(stripped)
             except RecursionError:
                 raise PathError("path JSON is nested too deeply") from None
+            except json.JSONDecodeError:
+                raise
+            except ValueError:  # int() refused a number over its digit limit
+                raise PathError("path JSON holds a number too large to read") from None
             return cls.from_json_dict(data)
         steps = []
-        for token in stripped.split():
+        for idx, token in enumerate(stripped.split(), start=1):
             m = cls._STEP.match(token)
             if m is None:
                 raise PathError(f"cannot parse step {token!r}")
-            steps.append(Step(m.group(1), int(m.group(2)), m.group(3) == "*"))
+            kind, digits, star = m.groups()
+            try:
+                label = int(digits)
+            except ValueError:  # over int()'s digit limit
+                raise PathError(f"step {idx}: label of {len(digits)} digits is too large") from None
+            steps.append(Step(kind, label, star == "*"))
         return cls(tuple(steps))
 
 

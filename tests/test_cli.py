@@ -426,6 +426,15 @@ def test_phi_i_text(capsys):
     assert out == "1,4,8/2/3,9/5,6,7\n"
 
 
+def test_phi_i_json(capsys):
+    code, out, err = run(["phi-i", "1,4,8/2/3/5,6,7,9", "-i", "3", "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "source": "1,4,8/2/3/5,6,7,9",\n  "i": 3,\n'
+        '  "image": "1,4,8/2/3,9/5,6,7"\n}\n'
+    )
+
+
 def test_phi_i_bad_index(capsys):
     code, _, err = run(["phi-i", "1,2/3", "-i", "5"], capsys)
     assert code == 1
@@ -456,6 +465,13 @@ def test_motzkin_decode(capsys):
     code, out, _ = run(["motzkin", "--decode", path], capsys)
     assert code == 0
     assert out == "1,4,8/2/3,7,9/5,6\n"
+
+
+def test_motzkin_decode_json(capsys):
+    path = "NE(1) E(1*) NE(1) E(1) NE(1) SE(3) E(2) SE(1) SE(1)"
+    code, out, err = run(["motzkin", "--decode", path, "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert out == '{\n  "partition": "1,4,8/2/3,7,9/5,6"\n}\n'
 
 
 def test_motzkin_round_trip(capsys):
@@ -510,6 +526,26 @@ def test_motzkin_bad_path_json(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+    # a JSON syntax error keeps the json module's own message
+    code, out, err = run(["motzkin", "--decode", '{"steps": [1,'], capsys)
+    assert (code, out, err) == (1, "", "error: Expecting value: line 1 column 14 (char 13)\n")
+
+
+def test_motzkin_path_label_over_the_digit_limit(capsys):
+    # int() refuses a decimal string over its digit limit (4300 by default)
+    # with advice about sys.set_int_max_str_digits; the path parser names
+    # the step in the text form and says what is wrong in the JSON form
+    label = "9" * 5000
+    for path, message in (
+        (f"NE(1) SE({label})", "step 2: label of 5000 digits is too large"),
+        (
+            '{"steps":[{"kind":"NE","label":1},{"kind":"SE","label":%s}]}' % label,
+            "path JSON holds a number too large to read",
+        ),
+    ):
+        code, out, err = run(["motzkin", "--decode", path], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
 
 def phi_motzkin_transcript(stdout_of) -> str:

@@ -302,7 +302,7 @@ def test_partitions_and_paths_are_frozen_values(value, field, text):
     assert value != key and value != (key,)
     assert value != cls._trusted(key[:-1])
     assert hash(value) == hash((key,))
-    assert repr(value) == text
+    assert repr(value) == text and str(value) == value.text()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is cls and twin == value and hash(twin) == hash(value)
     match value:
@@ -316,6 +316,10 @@ def test_partitions_and_paths_are_frozen_values(value, field, text):
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(value, name)
     assert getattr(value, field) is key and "other" not in vars(value)
+    # the members are the one base's: no class between it and the value's forks them
+    members = {"_trusted", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__", "__str__"}
+    for owner in cls.__mro__[: cls.__mro__.index(core._Value)]:
+        assert not members & vars(owner).keys(), owner
 
 
 def test_rebuild_inverts_trace():

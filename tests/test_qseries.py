@@ -66,6 +66,18 @@ def test_text_forms():
     assert QPolynomial((0, 3, 0, 1)).text() == "3*q + q^3"
 
 
+def test_protocol_methods():
+    assert hash(q_int(2)) == hash(QPolynomial((1, 1)))
+    for p in (QPolynomial(()), QPolynomial((0, -1, 2)), q_stirling(5, 3)):
+        assert str(p) == p.text()
+    assert repr(q_int(2)) == "QPolynomial('1 + q')"
+    # the NotImplemented of __add__ and __mul__ becomes Python's TypeError
+    with pytest.raises(TypeError, match="unsupported operand"):
+        q_int(2) + 1
+    with pytest.raises(TypeError, match="can't multiply sequence"):
+        q_int(2) * "q"
+
+
 def test_json_round_trip():
     p = q_stirling(5, 3)
     coeffs = json.loads(json.dumps(p.to_json_dict()))["coeffs"]
