@@ -3,21 +3,24 @@ Bijections on canonical set partitions.
 
 ``phi`` is the involution exchanging the statistics mak and makp.  It
 mirrors the source's trace profile through i -> n+1-i in one pass from
-element n down to 1: singletons stay singletons, non-singleton openers
-and closers trade places, passants stay passants and keep their own
-gamma, and the mirror image of opener a takes the gamma of the closer
-matched to a by level.  The same pass writes the image's word: an
-image opener or singleton opens a new rightmost block, an image closer
-or passant joins the gamma-th incomplete block from the left, a closer
-sealing it.  The pass files only where the image's blocks start
-(openers and singletons) and end (closers and singletons), and the
-first and the last occurrences of the letters of the built word must
-fall exactly there; the two sets fix the singletons, the other openers
-and closers, and the passants.  ``phi_certificate`` pairs the source
-with that image, and its four gamma rows (closers and passants of each
-side) are views read off the two trace profiles when asked, so a caller
-that takes only the image builds neither a row nor the image's profile.
-The certificate and its rows are named tuples.
+element n down to 1, reading the profile as the steps of the source's
+labeled path (``core._path_steps``, the one profile pass that
+``trace_profile`` and ``motzkin.encode`` read too): singletons (starred
+E steps) stay singletons, non-singleton openers (NE) and closers (SE)
+trade places, passants (plain E) stay passants and keep their own gamma,
+the step's label, and the mirror image of opener a takes the gamma of
+the closer matched to a by level.  The same pass writes the image's
+word: an image opener or singleton opens a new rightmost block, an image
+closer or passant joins the gamma-th incomplete block from the left, a
+closer sealing it.  The pass files only where the image's blocks start
+(openers and singletons) and end (closers and singletons), and the first
+and the last occurrences of the letters of the built word must fall
+exactly there; the two sets fix the singletons, the other openers and
+closers, and the passants.  ``phi_certificate`` pairs the source with
+that image, and its four gamma rows (closers and passants of each side)
+are views read off the two trace profiles when asked, so a caller that
+takes only the image builds neither a row nor the image's profile.  The
+certificate and its rows are named tuples.
 
 The level matching is load-bearing, not a tie-break.  Opener a sits at
 trace level l_a, its matched closer at level l_a + 1, and the mirrored
@@ -47,12 +50,13 @@ from typing import NamedTuple
 
 from .core import (
     CLOSER,
-    OPENER,
+    NE,
     PASSANT,
-    SINGLETON,
+    SE,
     Kind,
     PartitionError,
     SetPartition,
+    _path_steps,
     _require_canonical,
     classify,
     trace_profile,
@@ -113,30 +117,29 @@ def _firsts(word: tuple[int, ...]) -> dict[int, int]:
 
 def _mirror(p: SetPartition) -> SetPartition:
     p = _require_canonical(p, "phi is defined on canonically ordered partitions only")
-    profile = trace_profile(p)
 
-    # Reading the source profile from n down to 1 writes the image left to
-    # right.  The mirror of a source opener takes the gamma of the closer
-    # pushed last onto ``pending``, the one matched to it by level, and
-    # joins the incomplete block that gamma names.  The same pass files
-    # where the image's blocks start and where they end, ascending.
+    # Reading the source path from step n down to 1 writes the image left
+    # to right.  An NE step mirrors to an image closer, which takes the
+    # label of the SE step (an image opener) pushed last onto ``pending``,
+    # the one matched to it by level.  The same pass files where the
+    # image's blocks start and where they end, ascending.
     word, incomplete, pending, starts, ends = [], [], [], [], []  # incomplete: the image's
     top = 0
-    for b, kind, g in zip(range(1, p.n + 1), reversed(profile.kinds), reversed(profile.gamma)):
-        if kind is CLOSER:  # an image opener
+    for b, (kind, g, starred) in enumerate(reversed(_path_steps(p)), 1):
+        if kind == SE:  # an image opener
             pending.append(g)
             starts.append(b)
             top += 1
             word.append(top)
             incomplete.append(top)
             continue
-        if kind is SINGLETON:
+        if starred:  # a singleton
             starts.append(b)
             ends.append(b)
             top += 1
             word.append(top)
             continue
-        if kind is OPENER:  # an image closer
+        if kind == NE:  # an image closer
             g = pending.pop()
             ends.append(b)
         if not 1 <= g <= len(incomplete):
@@ -144,7 +147,7 @@ def _mirror(p: SetPartition) -> SetPartition:
                 f"transferred labels rejected: element {b}: "
                 f"gamma {g} outside the {len(incomplete)} incomplete blocks"
             )
-        word.append(incomplete.pop(g - 1) if kind is OPENER else incomplete[g - 1])
+        word.append(incomplete.pop(g - 1) if kind == NE else incomplete[g - 1])
     if incomplete:
         raise ConsistencyError("transferred labels rejected: profile ends with unclosed blocks")
     image = SetPartition._trusted(tuple(word))

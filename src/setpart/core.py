@@ -36,11 +36,18 @@ The pair sequence (kind_i, gamma_i) determines the partition uniquely;
 ``motzkin.decode`` inverts ``trace_profile`` on the same profile written
 as a labeled path.
 
-``trace_profile`` reads the restricted growth word once from left to
-right, keeping the indices of the incomplete blocks as a sorted list:
-l_i is its length before element i, and gamma_i is one plus the
-position of i's block in it.  An opener or singleton starts a new
-rightmost block, a closer leaves the list.
+The profile is written once, as that path.  ``_path_steps`` reads the
+restricted growth word once from left to right, keeping the indices of
+the incomplete blocks as a sorted list, and writes one ``Step`` per
+element: an opener starts a new rightmost block and writes the shared
+NE step ``_NE1``, a singleton the shared starred E step ``_E1_STAR``; a
+closer leaves the list and writes the SE step labeled one plus its
+block's position in the list, a passant the plain E step so labeled,
+both read from the shared step tables ``_se_steps`` and ``_e_steps``.
+``trace_profile`` reads the profile off those steps: the kinds, l_i as
+the height before step i, and gamma_i as the label, or l_i + 1 for an
+NE or starred E step.  ``motzkin.encode`` and ``bijections.phi`` read
+the steps themselves, so one pass serves all three.
 
 Partitions are immutable: ``Partition`` and ``motzkin.LabeledMotzkinPath``
 derive from ``_Value``, the one frozen-value base, which writes equality,
@@ -48,9 +55,9 @@ hashing, repr, str, the refusals and ``_trusted`` once for the field
 named in ``__match_args__``.  Each object computes a view once, on first
 request, and keeps it in its instance dict: ``blocks``, ``k`` and
 ``masks`` (one int per block, with bit i - 1 set for each element i)
-through ``_cached``, the classification and the trace profile (named
-tuples) through ``_memo``.  Views live exactly as long as the object and
-take no part in equality or hashing.  Atoms indexed by a small int
+through ``_cached``, the classification, the path's steps and the trace
+profile (tuples) through ``_memo``.  Views live exactly as long as the
+object and take no part in equality or hashing.  Atoms indexed by a small int
 are shared by the process: ``_growing(make)`` gives ``upto(top)``, a
 tuple t with t[i] == make(i) for i <= top, built on first use and never
 changed, only replaced by a longer one.  ``text`` reads element names so,
@@ -128,15 +135,18 @@ class _cached:
 def _growing(make: Callable[[int], _T], collect: Callable = tuple) -> Callable:
     """``upto(top)``: a shared table t with t[i] == make(i) for i <= top,
     by default a tuple; ``collect`` builds it from the items in order.
-    A short one is replaced by one at least twice as long, never changed,
-    so a caller may read its table while another one grows it."""
+    A short one is replaced by one at least twice as long that starts
+    with the same item objects, never changed, so a caller may read its
+    table while another one grows it, and an item kept from an older
+    table is the newer table's own."""
     table = collect(())
 
     def upto(top: int):
         nonlocal table
         t = table
         if top >= len(t):
-            t = table = collect(map(make, range(max(top + 1, 2 * len(t)))))
+            more = map(make, range(len(t), max(top + 1, 2 * len(t))))
+            t = table = collect(itertools.chain(t, more))
         return t
 
     return upto
@@ -503,6 +513,30 @@ class TraceProfile(NamedTuple):
     gamma: tuple[int, ...]
 
 
+NE, SE, E = "NE", "SE", "E"
+
+
+class Step(NamedTuple):
+    """One step of a labeled Motzkin path: kind NE, SE or E, its label,
+    and the star of a singleton."""
+
+    kind: str
+    label: int
+    starred: bool = False
+
+    def text(self) -> str:
+        star = "*" if self.starred else ""
+        return f"{self.kind}({self.label}{star})"
+
+
+# Every opener and singleton step is the same; steps are immutable.
+_NE1 = Step(NE, 1)
+_E1_STAR = Step(E, 1, starred=True)
+# The SE and the plain E step of each label g, at index g.
+_se_steps = _growing(lambda g: Step(SE, g))
+_e_steps = _growing(lambda g: Step(E, g))
+
+
 def _require_canonical(p: Partition, message: str) -> SetPartition:
     """``p`` itself when its blocks are in canonical order; otherwise a
     PartitionError carrying ``message``."""
@@ -511,37 +545,67 @@ def _require_canonical(p: Partition, message: str) -> SetPartition:
     raise PartitionError(message)
 
 
-def trace_profile(p: SetPartition) -> TraceProfile:
-    """Kinds plus (l_i, gamma_i) for each element of a canonical partition,
-    in one left-to-right pass over its word."""
-    p = _require_canonical(p, "trace profiles are defined on canonical partitions")
-    return _memo(p, "_profile", _trace_pass)
+_PROFILES_ARE_CANONICAL = "trace profiles are defined on canonical partitions"
 
 
-def _trace_pass(p: SetPartition) -> TraceProfile:
+def _path_steps(p: SetPartition) -> tuple[Step, ...]:
+    """The steps of the labeled path of a canonical partition, written
+    by one left-to-right pass over its word and kept on ``p``."""
+    return _memo(_require_canonical(p, _PROFILES_ARE_CANONICAL), "_steps", _step_pass)
+
+
+def _step_pass(p: SetPartition) -> tuple[Step, ...]:
     word = p.word
     last = {letter: i for i, letter in enumerate(word)}
+    # labels run from 1 to the height, which is at most n / 2
+    se, e = _se_steps(len(word) // 2), _e_steps(len(word) // 2)
     incomplete: list[int] = []  # indices of the incomplete blocks, ascending
-    kinds, ls, gammas = [], [], []
+    steps = []
     top = 0
     for i, letter in enumerate(word):
-        ls.append(len(incomplete))
         if letter > top:
             top = letter
-            gammas.append(len(incomplete) + 1)
             if last[letter] == i:
-                kinds.append(SINGLETON)
+                steps.append(_E1_STAR)
             else:
-                kinds.append(OPENER)
+                steps.append(_NE1)
                 incomplete.append(letter)
         else:
             pos = bisect_left(incomplete, letter)
-            gammas.append(pos + 1)
             if last[letter] == i:
-                kinds.append(CLOSER)
+                steps.append(se[pos + 1])
                 del incomplete[pos]
             else:
-                kinds.append(PASSANT)
+                steps.append(e[pos + 1])
+    return tuple(steps)
+
+
+def trace_profile(p: SetPartition) -> TraceProfile:
+    """Kinds plus (l_i, gamma_i) for each element of a canonical partition,
+    read off the steps of its labeled path."""
+    return _memo(_require_canonical(p, _PROFILES_ARE_CANONICAL), "_profile", _profile_of_steps)
+
+
+def _profile_of_steps(p: SetPartition) -> TraceProfile:
+    kinds, ls, gammas = [], [], []
+    h = 0  # the height before the step
+    # the pass writes only shared steps, so identity tells them apart
+    for step in _path_steps(p):
+        ls.append(h)
+        if step is _NE1:
+            kinds.append(OPENER)
+            h += 1
+            gammas.append(h)
+        elif step is _E1_STAR:
+            kinds.append(SINGLETON)
+            gammas.append(h + 1)
+        elif step[0] is SE:
+            kinds.append(CLOSER)
+            h -= 1
+            gammas.append(step[1])
+        else:
+            kinds.append(PASSANT)
+            gammas.append(step[1])
     return TraceProfile(tuple(kinds), tuple(ls), tuple(gammas))
 
 

@@ -26,12 +26,14 @@ h+1".  Decoding the reflection of the encoding of p gives exactly
 
 Validation happens at the boundary only: the ``LabeledMotzkinPath``
 constructor, ``parse``, ``from_json_dict`` and ``reflect`` check every
-step.  ``encode`` builds its path from a trace profile, and
-``enumerate_paths`` by steps after which the path can still return to 0;
-both are valid by construction and go through the private ``_trusted``
-of ``core._Value``, the one frozen-value base that ``LabeledMotzkinPath``
-shares with the partitions.  ``decode`` trusts its path, checked or
-built valid when it was made.
+step.  ``encode`` takes the steps that the partition's one profile pass
+wrote (``core._path_steps``; ``core.trace_profile`` is read off the same
+steps), and ``enumerate_paths`` builds its paths by steps after which
+the path can still return to 0; both are valid by construction and go
+through the private ``_trusted`` of ``core._Value``, the one
+frozen-value base that ``LabeledMotzkinPath`` shares with the
+partitions.  ``decode`` trusts its path, checked or built valid when it
+was made.
 
 ``enumerate_paths`` numbers the choices of a step leaving height h as
 SE(1..h), E(1..h), E(1*), NE, and lists the paths in lexicographic order
@@ -39,44 +41,33 @@ of their choice indices: the next path raises the rightmost step that
 has a next valid choice and refills the steps after it with SE(1) down
 to height 0, then E(1*).
 
-A ``Step`` is a named tuple (kind, label, starred), so a step equals
-the plain tuple of its fields.  The passes read steps by unpacking or
-index and compare kinds with ``==``, never ``is``: parsed and JSON
-steps carry kind strings of their own.  Equal steps are shared:
-``encode`` and ``enumerate_paths`` read the SE and plain E step of each
-label from two process-wide tables (``core._growing``) that they grow to
-n // 2, the greatest height at length n; ``reflect`` reuses the first
-input SE step of each label.  ``parse``, ``from_json_dict`` and
-``reflect`` never touch the tables, so no unchecked label can grow them.
+A ``Step`` (defined in ``core``, with the kinds and the shared steps,
+and re-exported here) is a named tuple (kind, label, starred), so a step
+equals the plain tuple of its fields.  The passes here read steps by
+unpacking or index and compare kinds with ``==``, never ``is``: parsed
+and JSON steps carry kind strings of their own.  Equal steps are shared:
+core's profile pass, which ``encode`` reads, and ``enumerate_paths``
+take the SE and plain E step of each label from two process-wide tables
+(``core._growing``) that they grow to n // 2, the greatest height at
+length n; ``reflect`` reuses the first input SE step of each label.
+``parse``, ``from_json_dict`` and ``reflect`` never touch the tables, so
+no unchecked label can grow them.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .core import CLOSER, OPENER, SINGLETON
-from .core import SetPartition, _growing, _Value, trace_profile
+from .core import E, NE, SE, SetPartition, Step, _E1_STAR, _NE1, _Value
+from .core import _e_steps, _path_steps, _se_steps
 
-NE, SE, E = "NE", "SE", "E"
 _KINDS = (NE, SE, E)
 
 
 class PathError(ValueError):
     """An invalid labeled Motzkin path; mentions the offending step."""
-
-
-class Step(NamedTuple):
-    """One step: kind NE, SE or E, its label, and the star of a singleton."""
-
-    kind: str
-    label: int
-    starred: bool = False
-
-    def text(self) -> str:
-        star = "*" if self.starred else ""
-        return f"{self.kind}({self.label}{star})"
 
 
 class LabeledMotzkinPath(_Value):
@@ -186,28 +177,10 @@ class LabeledMotzkinPath(_Value):
         return cls(tuple(steps))
 
 
-# Every opener and singleton step is the same; steps are immutable.
-_NE1 = Step(NE, 1)
-_E1_STAR = Step(E, 1, starred=True)
-# The SE and the plain E step of each label g, at index g.
-_se_steps = _growing(lambda g: Step(SE, g))
-_e_steps = _growing(lambda g: Step(E, g))
-
-
 def encode(p: SetPartition) -> LabeledMotzkinPath:
-    """The labeled path of a canonical partition."""
-    profile = trace_profile(p)
-    # labels run from 1 to the height, which is at most n / 2
-    se, e = _se_steps(p.n // 2), _e_steps(p.n // 2)
-    steps = []
-    for kind, g in zip(profile.kinds, profile.gamma):
-        if kind is OPENER:
-            steps.append(_NE1)
-        elif kind is SINGLETON:
-            steps.append(_E1_STAR)
-        else:
-            steps.append(se[g] if kind is CLOSER else e[g])
-    return LabeledMotzkinPath._trusted(tuple(steps))
+    """The labeled path of a canonical partition: the steps its one
+    profile pass wrote (``core._path_steps``)."""
+    return LabeledMotzkinPath._trusted(_path_steps(p))
 
 
 def decode(path: LabeledMotzkinPath) -> SetPartition:

@@ -94,6 +94,13 @@ def test_phi_certificates_equal_the_oracle_on_all_of_9():
     assert cases == 21147, cases
 
 
+def test_profile_path_and_phi_equal_the_passes_they_replace_on_all_of_10():
+    cases = 0
+    for cases, p in enumerate(enumerate_partitions(10), 1):
+        oracles.assert_one_pass_agrees(p)
+    assert cases == 115975, cases
+
+
 def test_verify_phi_i_passes_at_n9():
     # 89,532 block exchanges with n <= 9
     assert_verify_passes("phi-i", 9)

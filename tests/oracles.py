@@ -30,29 +30,42 @@ product of ``qseries.q_stirling`` replaced, and ``parse_blocks`` with
 ``parse_ordered``, the former text parser that split every block, called
 ``int()`` on every element and handed the blocks to the checked
 ``OrderedSetPartition``, which the name-table pass of
-``core.parse_ordered`` replaced.
+``core.parse_ordered`` replaced, and ``trace_pass`` with ``encode``, the
+former left-to-right pass that filed each element's kind, l and gamma
+and the former ``motzkin.encode`` that wrote the path from that
+profile in a second loop, which the one step-writing pass of
+``core._path_steps`` replaced (``core.trace_profile`` is now read off
+its steps).  ``phi_certificate`` reads the profile of ``trace_pass``.
+
+``assert_one_pass_agrees`` is the one comparison kept here: it runs the
+library's ``trace_profile``, ``encode`` and ``phi`` and compares them
+with these oracles, for the Tier-1 test and the extended check to share.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
+from bisect import bisect_left
 from typing import Iterator, NamedTuple
 
-from setpart import bijections, core
+from setpart import bijections, core, motzkin
 from setpart.bijections import ConsistencyError, GammaRow
 from setpart.core import (
     CLOSER,
     OPENER,
+    PASSANT,
     SINGLETON,
     OrderedSetPartition,
     ParseError,
     PartitionError,
     SetPartition,
+    TraceProfile,
+    _e_steps,
     _parse_error,
     _require_canonical,
+    _se_steps,
     classify,
-    trace_profile,
 )
 from setpart.motzkin import _E1_STAR, _NE1, E, SE, LabeledMotzkinPath, PathError, Step
 from setpart.qseries import QPolynomial, q_int
@@ -236,6 +249,65 @@ def l_gamma(blocks):
     return ls, gammas
 
 
+def trace_pass(p: SetPartition) -> TraceProfile:
+    """Kinds plus (l_i, gamma_i) for each element of a canonical partition,
+    in one left-to-right pass over its word that keeps the indices of
+    the incomplete blocks as a sorted list."""
+    p = _require_canonical(p, "trace profiles are defined on canonical partitions")
+    word = p.word
+    last = {letter: i for i, letter in enumerate(word)}
+    incomplete: list[int] = []  # indices of the incomplete blocks, ascending
+    kinds, ls, gammas = [], [], []
+    top = 0
+    for i, letter in enumerate(word):
+        ls.append(len(incomplete))
+        if letter > top:
+            top = letter
+            gammas.append(len(incomplete) + 1)
+            if last[letter] == i:
+                kinds.append(SINGLETON)
+            else:
+                kinds.append(OPENER)
+                incomplete.append(letter)
+        else:
+            pos = bisect_left(incomplete, letter)
+            gammas.append(pos + 1)
+            if last[letter] == i:
+                kinds.append(CLOSER)
+                del incomplete[pos]
+            else:
+                kinds.append(PASSANT)
+    return TraceProfile(tuple(kinds), tuple(ls), tuple(gammas))
+
+
+def encode(p: SetPartition) -> LabeledMotzkinPath:
+    """The labeled path of a canonical partition, written from its
+    ``trace_pass`` profile in a second loop."""
+    profile = trace_pass(p)
+    # labels run from 1 to the height, which is at most n / 2
+    se, e = _se_steps(p.n // 2), _e_steps(p.n // 2)
+    steps = []
+    for kind, g in zip(profile.kinds, profile.gamma):
+        if kind is OPENER:
+            steps.append(_NE1)
+        elif kind is SINGLETON:
+            steps.append(_E1_STAR)
+        else:
+            steps.append(se[g] if kind is CLOSER else e[g])
+    return LabeledMotzkinPath._trusted(tuple(steps))
+
+
+def assert_one_pass_agrees(p: SetPartition) -> None:
+    """The trace profile, path and phi image that the library reads off
+    the one profile pass of ``p`` equal ``trace_pass``, ``l_gamma``,
+    ``encode`` and the image of ``phi_certificate``."""
+    profile = core.trace_profile(p)
+    assert profile == trace_pass(p), p.text()
+    assert (list(profile.l), list(profile.gamma)) == l_gamma(p.blocks), p.text()
+    assert motzkin.encode(p) == encode(p), p.text()
+    assert bijections.phi(p) == phi_certificate(p).image, p.text()
+
+
 class ProfileError(ValueError):
     """A (kind, gamma) profile that no partition realizes."""
 
@@ -336,7 +408,7 @@ class PhiCertificate(NamedTuple):
 def phi_certificate(p: SetPartition) -> PhiCertificate:
     """The involution applied to ``p``, with its gamma matrices."""
     p = _require_canonical(p, "phi is defined on canonically ordered partitions only")
-    profile = trace_profile(p)
+    profile = trace_pass(p)
 
     # Reading the source profile from n down to 1 writes the image left to
     # right.  The mirror of a source opener takes the gamma of the closer

@@ -23,6 +23,7 @@ from setpart.core import (
     parse_partition,
     trace_profile,
 )
+from setpart.motzkin import SE, E, Step, encode
 from setpart.stats import mak, makp, stat_i
 
 import oracles
@@ -151,12 +152,12 @@ def _mutant(old: str, new: str):
 # n <= 7 it makes raise ConsistencyError.
 _MIRROR_MUTANTS = {
     "a passant pops its block": (
-        "incomplete.pop(g - 1) if kind is OPENER else incomplete[g - 1]",
+        "incomplete.pop(g - 1) if kind == NE else incomplete[g - 1]",
         "incomplete.pop(g - 1)",
         804,
     ),
     "a closer leaves its block open": (
-        "incomplete.pop(g - 1) if kind is OPENER else incomplete[g - 1]",
+        "incomplete.pop(g - 1) if kind == NE else incomplete[g - 1]",
         "incomplete[g - 1]",
         1148,
     ),
@@ -183,30 +184,30 @@ def test_phi_mutants_raise(name):
     assert raised == want
 
 
-def _with_profile(monkeypatch, p, **fields):
-    # phi reads a source profile with the given fields replaced
-    faulty = trace_profile(p)._replace(**{k: tuple(v) for k, v in fields.items()})
-    monkeypatch.setattr(bijections, "trace_profile", lambda q: faulty)
+def _with_steps(monkeypatch, steps):
+    # phi reads the given source path steps in place of the ones its
+    # partition's profile pass writes
+    monkeypatch.setattr(bijections, "_path_steps", lambda q: tuple(steps))
 
 
 def test_phi_rejects_transferred_labels_outside_the_incomplete_blocks(monkeypatch):
     # a source closer's gamma travels to the image closer matched to it by
     # level, which has exactly l_c incomplete blocks to join
     p = parse_partition("1,4,8/2/3,7,9/5,6")
-    true = trace_profile(p)
+    true, steps = trace_profile(p), encode(p).steps
     cases = 0
     for c in classify(p).closer_nonsingletons + classify(p).passants:
         for bad in (0, true.l[c - 1] + 1):
-            gamma = list(true.gamma)
-            gamma[c - 1] = bad
-            _with_profile(monkeypatch, p, gamma=gamma)
+            faulty = list(steps)
+            faulty[c - 1] = steps[c - 1]._replace(label=bad)
+            _with_steps(monkeypatch, faulty)
             with pytest.raises(ConsistencyError, match="^transferred labels rejected: element "):
                 phi_certificate(p)
             cases += 1
     assert cases == 10
-    gamma = list(true.gamma)
-    gamma[5] = 4  # closer 6 at level 3 gives its gamma to 5, the mirror of opener 5
-    _with_profile(monkeypatch, p, gamma=gamma)
+    faulty = list(steps)
+    faulty[5] = Step(SE, 4)  # closer 6 at level 3 gives its gamma to 5, the mirror of opener 5
+    _with_steps(monkeypatch, faulty)
     with pytest.raises(ConsistencyError) as info:
         phi_certificate(p)
     assert str(info.value) == (
@@ -217,9 +218,10 @@ def test_phi_rejects_transferred_labels_outside_the_incomplete_blocks(monkeypatc
 def test_phi_rejects_a_profile_that_leaves_blocks_open(monkeypatch):
     # a passant read as a closer mirrors to an opener that nothing closes
     p = parse_partition("1,4,8/2/3,7,9/5,6")
-    kinds = list(trace_profile(p).kinds)
-    kinds[6] = CLOSER
-    _with_profile(monkeypatch, p, kinds=kinds)
+    faulty = list(encode(p).steps)
+    assert faulty[6] == Step(E, 2)
+    faulty[6] = faulty[6]._replace(kind=SE)
+    _with_steps(monkeypatch, faulty)
     with pytest.raises(ConsistencyError) as info:
         phi_certificate(p)
     assert str(info.value) == "transferred labels rejected: profile ends with unclosed blocks"
@@ -233,9 +235,10 @@ def test_phi_trivial_inputs():
 
 
 def test_phi_rejects_ordered_input():
-    with pytest.raises(PartitionError):
+    message = "^phi is defined on canonically ordered partitions only$"
+    with pytest.raises(PartitionError, match=message):
         phi(parse_ordered("2/1"))
-    with pytest.raises(PartitionError):
+    with pytest.raises(PartitionError, match=message):
         phi_certificate(parse_ordered("2/1"))
 
 

@@ -465,9 +465,10 @@ def test_a_growing_table_is_replaced_and_never_changed():
     assert len(second) >= 2 * len(first) and second[: len(first)] == first
     assert first == ((0,), (1,), (2,), (3,))
     assert all(entry == (i,) for i, entry in enumerate(second))
-    # one long request builds just what it asks for, once
+    # one long request builds just what it asks for; a longer table keeps
+    # the items of the shorter one, so each item is made once
     assert len(upto(100)) == 101 and upto(50) is upto(100)
-    assert made == [*range(4), *range(len(second)), *range(101)]
+    assert all(a is b for a, b in zip(first, upto(100))) and made == [*range(101)]
 
 
 def test_text_reads_element_names_from_a_shared_table_that_only_grows():

@@ -12,8 +12,10 @@ from setpart.core import (
     OPENER,
     PASSANT,
     SINGLETON,
+    PartitionError,
     SetPartition,
     enumerate_partitions,
+    parse_ordered,
     parse_partition,
     trace_profile,
 )
@@ -107,8 +109,33 @@ def test_encode_equals_a_path_of_fresh_steps_and_shares_equal_ones():
         assert _one_object_per_step([path]), p.text()
 
 
+def test_profile_path_and_phi_equal_the_passes_they_replace():
+    # the one step-writing pass against the former trace pass, the former
+    # profile-reading encode, the explicit traces and the former phi pass;
+    # the long words grow the shared step tables
+    rng = random.Random(3003)
+    lengths = [rng.randint(1, 200) for _ in range(199)] + [200]
+    words = [p.word for n in range(9) for p in enumerate_partitions(n)]
+    words += [seeded_word(rng, n, rng.randint(1, n)) for n in lengths]
+    for word in words:
+        oracles.assert_one_pass_agrees(SetPartition(word))
+
+
+def test_the_profile_pass_keeps_its_boundaries():
+    # the step type, kinds and shared steps live in core and keep their
+    # motzkin names (this module imports Step, NE, SE and E from there)
+    for name in ("Step", "NE", "SE", "E", "_NE1", "_E1_STAR", "_se_steps", "_e_steps"):
+        assert getattr(motzkin, name) is getattr(core, name), name
+    assert (NE, SE, E) == ("NE", "SE", "E")
+    ordered = parse_ordered("2/1")
+    for route in (encode, trace_profile):
+        with pytest.raises(PartitionError) as info:
+            route(ordered)
+        assert str(info.value) == "trace profiles are defined on canonical partitions"
+
+
 def _shared_steps():
-    return motzkin._se_steps(0), motzkin._e_steps(0)
+    return core._se_steps(0), core._e_steps(0)
 
 
 def test_encode_reads_its_steps_from_shared_tables_that_only_grow():
