@@ -134,11 +134,13 @@ class _cached:
 
 def _growing(make: Callable[[int], _T], collect: Callable = tuple) -> Callable:
     """``upto(top)``: a shared table t with t[i] == make(i) for i <= top,
-    by default a tuple; ``collect`` builds it from the items in order.
-    A short one is replaced by one at least twice as long that starts
-    with the same item objects, never changed, so a caller may read its
-    table while another one grows it, and an item kept from an older
-    table is the newer table's own."""
+    by default a tuple; ``collect`` builds it from the items in order,
+    and iterating a table must yield its items in order, since a longer
+    table is collected from the shorter one and the new items.  A short
+    one is replaced by one at least twice as long that starts with the
+    same item objects, never changed, so a caller may read its table
+    while another one grows it, and an item kept from an older table is
+    the newer table's own."""
     table = collect(())
 
     def upto(top: int):
@@ -247,7 +249,8 @@ class _Value:
     equal field, hashes as ``hash((field,))``, prints as
     ``Class(field=...)`` and as its ``text()``, matches the pattern
     ``Class(field)``, and refuses assignment and deletion of any
-    attribute.  The field and its views live in the instance dict."""
+    attribute.  The field and its views live in the instance dict; a
+    copy or pickle carries the field alone and computes its views anew."""
 
     _field: str
 
@@ -283,6 +286,9 @@ class _Value:
 
     def __str__(self) -> str:
         return self.text()
+
+    def __reduce__(self):
+        return type(self)._trusted, (self.__dict__[self._field],)
 
 
 class Partition(_Value):
@@ -545,13 +551,11 @@ def _require_canonical(p: Partition, message: str) -> SetPartition:
     raise PartitionError(message)
 
 
-_PROFILES_ARE_CANONICAL = "trace profiles are defined on canonical partitions"
-
-
 def _path_steps(p: SetPartition) -> tuple[Step, ...]:
     """The steps of the labeled path of a canonical partition, written
     by one left-to-right pass over its word and kept on ``p``."""
-    return _memo(_require_canonical(p, _PROFILES_ARE_CANONICAL), "_steps", _step_pass)
+    p = _require_canonical(p, "trace profiles are defined on canonical partitions")
+    return _memo(p, "_steps", _step_pass)
 
 
 def _step_pass(p: SetPartition) -> tuple[Step, ...]:
@@ -560,8 +564,7 @@ def _step_pass(p: SetPartition) -> tuple[Step, ...]:
     # labels run from 1 to the height, which is at most n / 2
     se, e = _se_steps(len(word) // 2), _e_steps(len(word) // 2)
     incomplete: list[int] = []  # indices of the incomplete blocks, ascending
-    steps = []
-    top = 0
+    steps, top = [], 0
     for i, letter in enumerate(word):
         if letter > top:
             top = letter
@@ -583,7 +586,7 @@ def _step_pass(p: SetPartition) -> tuple[Step, ...]:
 def trace_profile(p: SetPartition) -> TraceProfile:
     """Kinds plus (l_i, gamma_i) for each element of a canonical partition,
     read off the steps of its labeled path."""
-    return _memo(_require_canonical(p, _PROFILES_ARE_CANONICAL), "_profile", _profile_of_steps)
+    return _memo(p, "_profile", _profile_of_steps)
 
 
 def _profile_of_steps(p: SetPartition) -> TraceProfile:

@@ -317,7 +317,7 @@ def test_partitions_and_paths_are_frozen_values(value, field, text):
             delattr(value, name)
     assert getattr(value, field) is key and "other" not in vars(value)
     # the members are the one base's: no class between it and the value's forks them
-    members = {"_trusted", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__", "__str__"}
+    members = {"_trusted", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__", "__str__", "__reduce__"}
     for owner in cls.__mro__[: cls.__mro__.index(core._Value)]:
         assert not members & vars(owner).keys(), owner
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from collections import deque
 
@@ -132,6 +134,21 @@ def test_the_profile_pass_keeps_its_boundaries():
         with pytest.raises(PartitionError) as info:
             route(ordered)
         assert str(info.value) == "trace profiles are defined on canonical partitions"
+
+
+def test_a_copied_partition_reads_its_profile_path_and_image_afresh():
+    # a copy or pickle carries the word alone, so the steps kept on the
+    # source (which the profile tells apart by identity) are not carried
+    # as new objects; each view of the twin equals the oracles'
+    rng = random.Random(3001)
+    partitions = [*enumerate_partitions(5), *(SetPartition(seeded_word(rng, 40, 9)) for _ in range(5))]
+    for p in partitions:
+        path, _ = encode(p), phi(p)
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert vars(twin) == {"word": p.word}, p.text()
+            oracles.assert_one_pass_agrees(twin)
+        for twin in (copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
+            assert decode(twin) == p and reflect(twin) == reflect(path), p.text()
 
 
 def _shared_steps():
