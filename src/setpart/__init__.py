@@ -1,7 +1,8 @@
 """
 Exact combinatorics of set partitions.  Import names from the submodules;
-the package re-exports none of them, and after ``import setpart`` each
-submodule is an attribute (``setpart.core``):
+the package re-exports none of them.  Each submodule is an attribute of
+the package (``setpart.core``), loaded on first access, so ``import
+setpart`` loads none of them:
 
 - ``setpart.core``: canonical and ordered partitions, parsing, element
   classification, trace profiles, enumeration.
@@ -14,6 +15,18 @@ submodule is an attribute (``setpart.core``):
 - ``setpart.cli``: the command-line front end.
 """
 
-from . import bijections, core, motzkin, qseries, stats, verify  # noqa: F401
-
 __version__ = "0.1.0"
+_SUBMODULES = ("bijections", "cli", "core", "motzkin", "qseries", "stats", "verify")
+
+
+def __getattr__(name: str):
+    # importing a submodule binds it on the package, so each name comes here once
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return import_module(f"{__name__}.{name}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULES})

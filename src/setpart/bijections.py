@@ -53,6 +53,7 @@ from .core import (
     NE,
     PASSANT,
     SE,
+    ConsistencyError,
     Kind,
     PartitionError,
     SetPartition,
@@ -61,13 +62,6 @@ from .core import (
     classify,
     trace_profile,
 )
-
-
-class ConsistencyError(RuntimeError):
-    """An internal step of a bijection found impossible data.
-
-    Unreachable for valid inputs; raised rather than patched over.
-    """
 
 
 class GammaRow(NamedTuple):

@@ -13,7 +13,8 @@ commands emit the partition grammar that every partition argument
 accepts, and motzkin emits the compact path text that ``--decode``
 accepts.  genfun and qstirling emit the polynomial text format, which
 nothing reads back.  Wall-clock timing goes to stderr (text mode) or a
-dedicated JSON field, so stdout is independent of ``--threads``.
+dedicated JSON field, so stdout is independent of ``--threads``.  Only
+``core`` loads with this module; each command imports the modules it runs.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ import argparse
 import json
 import sys
 
-from . import bijections, core, motzkin, qseries, stats, verify
-from .qseries import QPolynomial
+from . import core
+
+# verify.SUITE_NAMES, for the parser without loading verify; a test keeps them equal.
+SUITE_NAMES = tuple(
+    "theorem1 theorem2 theorem3 lemma1 eq4 los-linv phi-i eq13 motzkin euler-mahonian".split()
+)
 
 
 def _emit(payload) -> None:
@@ -36,6 +41,7 @@ class _Refused(Exception):
 
 def _within_budget(size: int) -> None:
     """Refuse an enumeration of ``size`` partitions above the budget."""
+    from . import verify
     if size > verify.ENUMERATION_BUDGET:
         raise _Refused(f"would enumerate {size} partitions, at most {verify.ENUMERATION_BUDGET}")
 
@@ -65,6 +71,7 @@ def _check_range(name: str, value: int, top: int | None = None) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    from . import verify
     n, k = args.n, args.k
     _check_range("n", n, N_MAX)
     if k is not None and not 0 <= k <= n:
@@ -96,6 +103,7 @@ def _parse_cli_partition(text: str) -> core.Partition:
 
 
 def cmd_stats(args) -> int:
+    from . import stats
     p = _parse_cli_partition(args.partition)
     if args.per_element:
         order = [x for block in p.blocks for x in block]
@@ -122,7 +130,7 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _first_difference(got: QPolynomial, want: QPolynomial) -> tuple[int, int, int]:
+def _first_difference(got, want) -> tuple[int, int, int]:
     for e in range(max(got.degree, want.degree) + 1):
         if got.coefficient(e) != want.coefficient(e):
             return e, got.coefficient(e), want.coefficient(e)
@@ -159,19 +167,20 @@ def _per_k(args, all_ks: range, head: dict, rows) -> int:
 
 
 def cmd_genfun(args) -> int:
+    from . import qseries, stats, verify
     n = args.n
     _check_range("n", n, N_MAX)
 
-    def genfun_for(k: int, hists: dict[int, list[int]] | None) -> QPolynomial:
+    def genfun_for(k: int, hists: dict[int, list[int]] | None) -> qseries.QPolynomial:
         if hists is not None:
-            return QPolynomial._trusted(hists.get(k, ()))
+            return qseries.QPolynomial._trusted(hists.get(k, ()))
         fn = stats.resolve_statistic(args.stat, l=args.l)
         family = (
             core.enumerate_ordered(n, k) if args.ordered else core.enumerate_partitions(n, k)
         )
         return qseries.generating_function(family, fn)
 
-    def target_for(k: int) -> QPolynomial | None:
+    def target_for(k: int) -> qseries.QPolynomial | None:
         if args.compare == "qstirling":
             return qseries.q_stirling(n, k)
         if args.compare == "qstirling-times-qfact":
@@ -207,6 +216,7 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_qstirling(args) -> int:
+    from . import qseries
     n = args.n
     _check_range("n", n, N_MAX)
     make = qseries.shifted_stirling if args.shifted else qseries.q_stirling
@@ -221,6 +231,7 @@ def cmd_qstirling(args) -> int:
 
 
 def cmd_phi(args) -> int:
+    from . import bijections
     p = core.parse_partition(args.partition)
     cert = bijections.phi_certificate(p)
     if args.certificate:
@@ -233,6 +244,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_phi_i(args) -> int:
+    from . import bijections
     p = core.parse_partition(args.partition)
     image = bijections.phi_i(p, args.i)
     if args.json:
@@ -243,6 +255,7 @@ def cmd_phi_i(args) -> int:
 
 
 def cmd_motzkin(args) -> int:
+    from . import motzkin
     if args.decode is not None and args.partition is not None:
         raise _Refused("give a partition or --decode, not both")
     if args.decode is not None:
@@ -269,6 +282,7 @@ def cmd_motzkin(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     if args.n_max is not None:
         _check_range("--n-max", args.n_max, VERIFY_N_MAX)
     _check_range("--max-witnesses", args.max_witnesses)
@@ -401,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="run an exhaustive verification suite",
     )
-    p.add_argument("suite", choices=list(verify.SUITE_NAMES) + ["all"])
+    p.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
     p.add_argument("--n-max", type=int, default=None, help="override the suite's default range")
     p.add_argument(
         "--max-witnesses", type=int, default=10, help="cap on reported failures (default 10)"
@@ -430,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, bijections.ConsistencyError) as exc:
+    except (ValueError, core.ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

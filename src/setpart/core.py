@@ -164,6 +164,10 @@ class PartitionError(ValueError):
     """Invalid partition data (bad blocks, bad word)."""
 
 
+class ConsistencyError(RuntimeError):
+    """Impossible data inside a bijection or a kernel: never met on valid input."""
+
+
 class ParseError(PartitionError):
     """Unparsable partition text; ``position`` is the 0-based offset of
     the offending character, or None when the text parses but its blocks
@@ -551,11 +555,13 @@ def _require_canonical(p: Partition, message: str) -> SetPartition:
     raise PartitionError(message)
 
 
+_NOT_CANONICAL = "trace profiles are defined on canonical partitions"
+
+
 def _path_steps(p: SetPartition) -> tuple[Step, ...]:
     """The steps of the labeled path of a canonical partition, written
     by one left-to-right pass over its word and kept on ``p``."""
-    p = _require_canonical(p, "trace profiles are defined on canonical partitions")
-    return _memo(p, "_steps", _step_pass)
+    return _memo(_require_canonical(p, _NOT_CANONICAL), "_steps", _step_pass)
 
 
 def _step_pass(p: SetPartition) -> tuple[Step, ...]:
@@ -586,7 +592,7 @@ def _step_pass(p: SetPartition) -> tuple[Step, ...]:
 def trace_profile(p: SetPartition) -> TraceProfile:
     """Kinds plus (l_i, gamma_i) for each element of a canonical partition,
     read off the steps of its labeled path."""
-    return _memo(p, "_profile", _profile_of_steps)
+    return _memo(_require_canonical(p, _NOT_CANONICAL), "_profile", _profile_of_steps)
 
 
 def _profile_of_steps(p: SetPartition) -> TraceProfile:

@@ -23,7 +23,7 @@ distribution cells (theorem3, eq13, euler-mahonian) walk their family
 the same way, tallying named values into histograms that they compare
 with the target polynomials afterwards.
 
-Suite names are fixed CLI vocabulary:
+Suite names are fixed CLI vocabulary, copied into ``cli.SUITE_NAMES``:
 
 - theorem1        the involution exchanges mak and makp, squares to the
                   identity, and mirrors the element classes
@@ -259,7 +259,7 @@ def mak_histograms(n: int, threads: int = 1) -> dict[int, list[int]]:
                 ]
     total = sum(map(sum, hists.values()))
     if total != bell:
-        raise bijections.ConsistencyError(
+        raise core.ConsistencyError(
             f"mak counts for n={n} sum to {total}, not Bell({n}) = {bell}: "
             f"a {width}-bit coefficient overflowed"
         )
@@ -297,7 +297,7 @@ def _each(
 def _theorem1(p: core.SetPartition) -> Iterator[tuple[str, str]]:
     try:
         image = bijections.phi_certificate(p).image
-    except bijections.ConsistencyError as exc:
+    except core.ConsistencyError as exc:
         yield "a consistent involution image", str(exc)
         return
     m, mp = stats.mak(p), stats.makp(image)
@@ -345,7 +345,7 @@ def _lemma1(p: core.SetPartition) -> Iterator[tuple[str, str]]:
         yield f"closer level sum = {rhs}", str(lhs)
     try:
         match = bijections.match_openers_closers(p)
-    except bijections.ConsistencyError as exc:
+    except core.ConsistencyError as exc:
         yield "a complete opener-closer matching", str(exc)
         return
     ok = (
@@ -394,7 +394,7 @@ def _motzkin_roundtrip(p: core.SetPartition) -> Iterator[tuple[str, str]]:
 
 
 def _motzkin_reflect(p: core.SetPartition) -> Iterator[tuple[str, str]]:
-    caught = (motzkin.PathError, bijections.ConsistencyError, core.PartitionError)
+    caught = (motzkin.PathError, core.ConsistencyError, core.PartitionError)
     try:
         path = motzkin.encode(p)
         mirror = motzkin.reflect(path)
@@ -508,7 +508,7 @@ def _phii_cell(n: int, kk: int) -> CellResult:
                 cases += 1
                 try:
                     img = bijections.phi_i(p, i)
-                except bijections.ConsistencyError as exc:
+                except core.ConsistencyError as exc:
                     failures.append((p.text(), f"phi_{i} stays in the class", str(exc)))
                     continue
                 images.append(img)

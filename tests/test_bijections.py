@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from setpart import bijections
+from setpart import bijections, core
 from setpart.bijections import (
     ConsistencyError,
     GammaRow,
@@ -327,4 +327,6 @@ def test_block_exchange_errors():
 
 
 def test_consistency_error_is_a_runtime_error():
+    # core defines it, so the CLI catches it without loading bijections
     assert issubclass(ConsistencyError, RuntimeError)
+    assert ConsistencyError is core.ConsistencyError

@@ -2,9 +2,10 @@
 
 Each test drives cli.main directly with an argv list and inspects the
 captured stdout/stderr plus the exit code, so the pins match exactly what
-a shell user sees.  Two subprocess tests confirm that the module entry
-point works outside the test process and that importing the CLI loads
-neither dataclasses nor inspect.
+a shell user sees.  Subprocess tests confirm that the module entry
+point works outside the test process, that importing the CLI loads
+neither dataclasses nor inspect, and that it loads only ``setpart.core``
+until a command imports the modules it runs.
 """
 
 import json
@@ -603,28 +604,40 @@ BOUNDARY_TEXTS = (
 
 
 def parse_boundary_transcript(run_one) -> str:
-    """``stats``, ``phi`` and ``motzkin`` on every boundary text, as
-    ``$ setpart ARGS`` lines each followed by the command's stdout and,
-    when it fails, an ``[exit CODE]`` line and its one stderr line;
+    """``stats``, ``phi`` and ``motzkin`` on every boundary text, then a
+    suite name the parser refuses, as ``$ setpart ARGS`` lines each
+    followed by the command's stdout and, when it fails, an ``[exit
+    CODE]`` line and its stderr: one line for a partition text, the usage
+    (which lists every suite name) and the error for the suite;
     ``run_one(args)`` runs one command and returns (code, stdout, stderr)."""
     transcript = []
-    for text in BOUNDARY_TEXTS:
-        for command in ("stats", "phi", "motzkin"):
-            args = [command, text]
-            code, out, err = run_one(args)
-            transcript.append(f"$ setpart {shlex.join(args)}\n{out}")
-            if code:
-                assert out == "" and err.count("\n") == 1, args
-                transcript.append(f"[exit {code}]\n{err}")
-            else:
-                assert err == "", args
+    commands = [
+        [command, text] for text in BOUNDARY_TEXTS for command in ("stats", "phi", "motzkin")
+    ]
+    for args in commands + [["verify", "bogus"]]:
+        code, out, err = run_one(args)
+        transcript.append(f"$ setpart {shlex.join(args)}\n{out}")
+        if code:
+            assert out == "" and (err.count("\n") == 1 or args[0] == "verify"), args
+            transcript.append(f"[exit {code}]\n{err}")
+        else:
+            assert err == "", args
     return "".join(transcript)
 
 
-def test_partition_text_boundary_equals_the_golden_file(capsys):
-    assert_equals_golden(
-        parse_boundary_transcript(lambda args: run(args, capsys)), "parse_boundary.txt"
-    )
+def test_partition_text_boundary_equals_the_golden_file(capsys, monkeypatch):
+    # argparse wraps the usage to the terminal width; a process whose
+    # output is a pipe, as in the replay, gets 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run_one(args):
+        try:
+            return run(args, capsys)
+        except SystemExit as exc:  # the parser's refusal
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    assert_equals_golden(parse_boundary_transcript(run_one), "parse_boundary.txt")
 
 
 # Texts whose blocks are out of canonical order, so `stats` keeps them as
@@ -774,6 +787,12 @@ def test_threads_below_one_rejected_by_every_subcommand(capsys):
             assert err == "error: --threads must be at least 1\n"
 
 
+def test_parser_suite_names_equal_the_verify_suites():
+    from setpart import verify
+
+    assert cli.SUITE_NAMES == verify.SUITE_NAMES
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch"])
@@ -862,3 +881,30 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert proc.stdout == "[]\n"
+
+
+def test_cli_start_up_loads_only_what_each_command_runs():
+    # importing the CLI loads core alone; each command then imports the
+    # modules it runs, so the short ones never load verify or qseries
+    probe = (
+        "import sys, io, contextlib; before = set(sys.modules); import setpart.cli; "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('setpart')))\n"
+        "with contextlib.redirect_stdout(io.StringIO()): setpart.cli.main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m in ('setpart.verify', 'setpart.qseries')))"
+    )
+    runs = {
+        ("phi", "1,4,8/2/3,7,9/5,6"): [],
+        ("stats", "1,4,8/2/3,7,9/5,6"): [],
+        ("motzkin", "1,4,8/2/3,7,9/5,6"): [],
+        ("qstirling", "-n", "4"): ["setpart.qseries"],
+    }
+    for argv, loaded in runs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            cwd=Path(__file__).resolve().parent.parent,
+            env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout == f"['setpart', 'setpart.cli', 'setpart.core']\n{loaded}\n", argv

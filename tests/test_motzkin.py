@@ -129,11 +129,14 @@ def test_the_profile_pass_keeps_its_boundaries():
     for name in ("Step", "NE", "SE", "E", "_NE1", "_E1_STAR", "_se_steps", "_e_steps"):
         assert getattr(motzkin, name) is getattr(core, name), name
     assert (NE, SE, E) == ("NE", "SE", "E")
-    ordered = parse_ordered("2/1")
-    for route in (encode, trace_profile):
-        with pytest.raises(PartitionError) as info:
-            route(ordered)
-        assert str(info.value) == "trace profiles are defined on canonical partitions"
+    # an ordered partition, and values that are no partition at all: the
+    # canonical check runs before the memo reads the object's views
+    for value in (parse_ordered("2/1"), (1, 2, 1), [1, 2, 1], None):
+        for route in (encode, trace_profile):
+            with pytest.raises(PartitionError) as info:
+                route(value)
+            assert type(info.value) is PartitionError, (route, value)
+            assert str(info.value) == "trace profiles are defined on canonical partitions"
 
 
 def test_a_copied_partition_reads_its_profile_path_and_image_afresh():

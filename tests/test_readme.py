@@ -4,9 +4,10 @@ import os
 import re
 import subprocess
 import sys
-import types
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -20,12 +21,28 @@ def test_library_quickstart_runs_verbatim():
 
 
 def test_package_exposes_its_modules_and_no_names():
+    # `import setpart` loads no submodule; each one loads on first access
+    probe = (
+        "import sys; before = set(sys.modules); import setpart; "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('setpart')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "['setpart']\n"
     import setpart
 
-    public = {name: value for name, value in vars(setpart).items() if not name.startswith("_")}
-    # setpart.cli joins them once something imports it
-    assert all(isinstance(value, types.ModuleType) for value in public.values()), public
-    assert {"bijections", "core", "motzkin", "qseries", "stats", "verify"} <= set(public)
+    modules = {"bijections", "cli", "core", "motzkin", "qseries", "stats", "verify"}
+    assert {name for name in dir(setpart) if not name.startswith("_")} == modules
+    for name in sorted(modules):
+        assert getattr(setpart, name) is sys.modules[f"setpart.{name}"], name
+    with pytest.raises(AttributeError, match="^module 'setpart' has no attribute 'nosuch'$"):
+        setpart.nosuch
 
 
 def test_every_module_name_the_readme_cites_exists():
