@@ -555,13 +555,11 @@ def _require_canonical(p: Partition, message: str) -> SetPartition:
     raise PartitionError(message)
 
 
-_NOT_CANONICAL = "trace profiles are defined on canonical partitions"
-
-
 def _path_steps(p: SetPartition) -> tuple[Step, ...]:
     """The steps of the labeled path of a canonical partition, written
     by one left-to-right pass over its word and kept on ``p``."""
-    return _memo(_require_canonical(p, _NOT_CANONICAL), "_steps", _step_pass)
+    p = _require_canonical(p, "trace profiles are defined on canonical partitions")
+    return _memo(p, "_steps", _step_pass)
 
 
 def _step_pass(p: SetPartition) -> tuple[Step, ...]:
@@ -592,14 +590,16 @@ def _step_pass(p: SetPartition) -> tuple[Step, ...]:
 def trace_profile(p: SetPartition) -> TraceProfile:
     """Kinds plus (l_i, gamma_i) for each element of a canonical partition,
     read off the steps of its labeled path."""
-    return _memo(_require_canonical(p, _NOT_CANONICAL), "_profile", _profile_of_steps)
+    p = _require_canonical(p, "trace profiles are defined on canonical partitions")
+    return _memo(p, "_profile", _profile_of_steps)
 
 
 def _profile_of_steps(p: SetPartition) -> TraceProfile:
     kinds, ls, gammas = [], [], []
     h = 0  # the height before the step
-    # the pass writes only shared steps, so identity tells them apart
-    for step in _path_steps(p):
+    # the pass writes only shared steps, so identity tells them apart;
+    # trace_profile has checked p, so its steps are read off the memo
+    for step in _memo(p, "_steps", _step_pass):
         ls.append(h)
         if step is _NE1:
             kinds.append(OPENER)

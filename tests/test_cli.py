@@ -604,40 +604,28 @@ BOUNDARY_TEXTS = (
 
 
 def parse_boundary_transcript(run_one) -> str:
-    """``stats``, ``phi`` and ``motzkin`` on every boundary text, then a
-    suite name the parser refuses, as ``$ setpart ARGS`` lines each
-    followed by the command's stdout and, when it fails, an ``[exit
-    CODE]`` line and its stderr: one line for a partition text, the usage
-    (which lists every suite name) and the error for the suite;
+    """``stats``, ``phi`` and ``motzkin`` on every boundary text, as
+    ``$ setpart ARGS`` lines each followed by the command's stdout and,
+    when it fails, an ``[exit CODE]`` line and its one stderr line;
     ``run_one(args)`` runs one command and returns (code, stdout, stderr)."""
     transcript = []
-    commands = [
-        [command, text] for text in BOUNDARY_TEXTS for command in ("stats", "phi", "motzkin")
-    ]
-    for args in commands + [["verify", "bogus"]]:
-        code, out, err = run_one(args)
-        transcript.append(f"$ setpart {shlex.join(args)}\n{out}")
-        if code:
-            assert out == "" and (err.count("\n") == 1 or args[0] == "verify"), args
-            transcript.append(f"[exit {code}]\n{err}")
-        else:
-            assert err == "", args
+    for text in BOUNDARY_TEXTS:
+        for command in ("stats", "phi", "motzkin"):
+            args = [command, text]
+            code, out, err = run_one(args)
+            transcript.append(f"$ setpart {shlex.join(args)}\n{out}")
+            if code:
+                assert out == "" and err.count("\n") == 1, args
+                transcript.append(f"[exit {code}]\n{err}")
+            else:
+                assert err == "", args
     return "".join(transcript)
 
 
-def test_partition_text_boundary_equals_the_golden_file(capsys, monkeypatch):
-    # argparse wraps the usage to the terminal width; a process whose
-    # output is a pipe, as in the replay, gets 80 columns
-    monkeypatch.setenv("COLUMNS", "80")
-
-    def run_one(args):
-        try:
-            return run(args, capsys)
-        except SystemExit as exc:  # the parser's refusal
-            captured = capsys.readouterr()
-            return exc.code, captured.out, captured.err
-
-    assert_equals_golden(parse_boundary_transcript(run_one), "parse_boundary.txt")
+def test_partition_text_boundary_equals_the_golden_file(capsys):
+    assert_equals_golden(
+        parse_boundary_transcript(lambda args: run(args, capsys)), "parse_boundary.txt"
+    )
 
 
 # Texts whose blocks are out of canonical order, so `stats` keeps them as
@@ -787,10 +775,19 @@ def test_threads_below_one_rejected_by_every_subcommand(capsys):
             assert err == "error: --threads must be at least 1\n"
 
 
-def test_parser_suite_names_equal_the_verify_suites():
+def test_parser_suite_names_equal_the_verify_suites(capsys):
+    # the parser takes its suite names from cli.SUITE_NAMES, so that
+    # building it loads no verify; they must stay the suites verify runs
     from setpart import verify
 
     assert cli.SUITE_NAMES == verify.SUITE_NAMES
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert suite.choices == [*verify.SUITE_NAMES, "all"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(suite.choices) + "}" in capsys.readouterr().out
 
 
 def test_verify_unknown_suite():
