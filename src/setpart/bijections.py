@@ -2,23 +2,18 @@
 Bijections on canonical set partitions.
 
 ``phi`` is the involution exchanging the statistics mak and makp.  It
-mirrors the source's trace profile through i -> n+1-i in one pass from
-element n down to 1, reading the profile as the steps of the source's
-labeled path (``core._path_steps``, the one profile pass that
-``trace_profile`` and ``motzkin.encode`` read too): singletons (starred
-E steps) stay singletons, non-singleton openers (NE) and closers (SE)
-trade places, passants (plain E) stay passants and keep their own gamma,
-the step's label, and the mirror image of opener a takes the gamma of
-the closer matched to a by level.  The same pass writes the image's
-word: an image opener or singleton opens a new rightmost block, an image
-closer or passant joins the gamma-th incomplete block from the left, a
-closer sealing it.  The pass files only where the image's blocks start
-(openers and singletons) and end (closers and singletons), and the first
-and the last occurrences of the letters of the built word must fall
-exactly there; the two sets fix the singletons, the other openers and
-closers, and the passants.  ``phi_certificate`` pairs the source with
-that image, and its four gamma rows (closers and passants of each side)
-are views read off the two trace profiles when asked, so a caller that
+mirrors the source's trace profile through i -> n+1-i: the word writer
+over the reverse reader over the source's path steps, the mirror written
+once in ``core`` (see its docstring).  Singletons (starred E) stay
+singletons, non-singleton openers (NE) and closers (SE) trade places,
+passants (plain E) keep their own gamma, the step's label, and the
+mirror image of opener a takes the gamma of the closer matched to a by
+level; a label the writer refuses is "transferred labels rejected".  The
+first and the last occurrences of the letters of the built word must
+fall exactly where the reader filed the image's blocks to start and
+end, which fixes every role.  ``phi_certificate`` pairs the source with
+that image; its four gamma rows (closers and passants of each side) are
+views read off the two trace profiles when asked, so a caller that
 takes only the image builds neither a row nor the image's profile.  The
 certificate and its rows are named tuples.
 
@@ -41,7 +36,7 @@ word.
 smallest unused non-singleton closer at trace level l_a + 1, witnessing
 that the two level sums agree.  It is the lemma1 suite's independent
 witness: ``phi`` does not call it, and pairs each mirrored opener with
-its closer through the stack of its own pass.
+its closer through the reverse reader's stack.
 """
 
 from __future__ import annotations
@@ -50,15 +45,15 @@ from typing import NamedTuple
 
 from .core import (
     CLOSER,
-    NE,
     PASSANT,
-    SE,
     ConsistencyError,
     Kind,
     PartitionError,
     SetPartition,
     _path_steps,
     _require_canonical,
+    _reverse_read,
+    _write_word,
     classify,
     trace_profile,
 )
@@ -104,53 +99,18 @@ class PhiCertificate(NamedTuple):
         }
 
 
-def _firsts(word: tuple[int, ...]) -> dict[int, int]:
-    """Each letter of ``word`` with the position of its first occurrence."""
-    return dict(zip(reversed(word), range(len(word), 0, -1)))
-
-
 def _mirror(p: SetPartition) -> SetPartition:
     p = _require_canonical(p, "phi is defined on canonically ordered partitions only")
-
-    # Reading the source path from step n down to 1 writes the image left
-    # to right.  An NE step mirrors to an image closer, which takes the
-    # label of the SE step (an image opener) pushed last onto ``pending``,
-    # the one matched to it by level.  The same pass files where the
-    # image's blocks start and where they end, ascending.
-    word, incomplete, pending, starts, ends = [], [], [], [], []  # incomplete: the image's
-    top = 0
-    for b, (kind, g, starred) in enumerate(reversed(_path_steps(p)), 1):
-        if kind == SE:  # an image opener
-            pending.append(g)
-            starts.append(b)
-            top += 1
-            word.append(top)
-            incomplete.append(top)
-            continue
-        if starred:  # a singleton
-            starts.append(b)
-            ends.append(b)
-            top += 1
-            word.append(top)
-            continue
-        if kind == NE:  # an image closer
-            g = pending.pop()
-            ends.append(b)
-        if not 1 <= g <= len(incomplete):
-            raise ConsistencyError(
-                f"transferred labels rejected: element {b}: "
-                f"gamma {g} outside the {len(incomplete)} incomplete blocks"
-            )
-        word.append(incomplete.pop(g - 1) if kind == NE else incomplete[g - 1])
-    if incomplete:
-        raise ConsistencyError("transferred labels rejected: profile ends with unclosed blocks")
-    image = SetPartition._trusted(tuple(word))
-
+    steps, starts, ends = _reverse_read(_path_steps(p))
+    try:
+        image = _write_word(steps)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"transferred labels rejected: {exc}") from None
     # An independent reading of the built word: the first and the last
-    # position of each letter.
+    # position of each letter, in order of first occurrence.
     w = image.word
-    lasts = dict(zip(w, range(1, len(w) + 1)))
-    if sorted(_firsts(w).values()) != starts or sorted(lasts.values()) != ends:
+    lasts = dict(zip(w, range(len(w))))
+    if list(map(w.index, lasts)) != starts or sorted(lasts.values()) != ends:
         raise ConsistencyError("image classification does not mirror the source")
     return image
 
@@ -189,9 +149,10 @@ def phi_i(p: SetPartition, i: int) -> SetPartition:
     for x in moved:
         word[x - 1] = 2 * i + 1 - word[x - 1]
     image = SetPartition._trusted(tuple(word))
-    # Same opener positions with the same letters: the word is still a
-    # restricted growth word.
-    if _firsts(image.word) != dict(enumerate(classify(p).openers, start=1)):
+    # Same opener positions with the same letters, read off the built
+    # word's first occurrences: the word is still a restricted growth word.
+    firsts = dict(zip(reversed(image.word), range(n, 0, -1)))
+    if firsts != dict(enumerate(classify(p).openers, start=1)):
         raise ConsistencyError(f"phi_{i} changed the openers of {p.text()}")
     return image
 

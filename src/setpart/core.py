@@ -49,6 +49,21 @@ the height before step i, and gamma_i as the label, or l_i + 1 for an
 NE or starred E step.  ``motzkin.encode`` and ``bijections.phi`` read
 the steps themselves, so one pass serves all three.
 
+The mirror and the word writer are written once, here beside the pass,
+so ``phi`` loads no ``motzkin``.  ``_reverse_read`` reads steps from
+right to left: an SE step becomes ``_NE1`` and pushes its label, an NE
+step becomes the shared SE step with the label pushed last (the SE step
+that closes it, its match by level), and an E step stays as it is.  It
+files the 0-based positions, ascending, where the mirrored path's blocks
+start (NE, starred E) and end (SE, starred E).  ``_write_word`` reads
+steps from left to right: an NE or starred E step opens a new rightmost
+block, and an SE or plain E step joins the label-th incomplete block
+from the left, SE sealing it; a label outside 1 up to the number of
+incomplete blocks, or a block left open, is a ConsistencyError.
+``motzkin.decode`` is the writer, ``motzkin.reflect`` the reader over
+checked steps, and ``bijections.phi`` the writer over the reader over
+``_path_steps``.
+
 Partitions are immutable: ``Partition`` and ``motzkin.LabeledMotzkinPath``
 derive from ``_Value``, the one frozen-value base, which writes equality,
 hashing, repr, str, the refusals and ``_trusted`` once for the field
@@ -96,8 +111,8 @@ second block check: ``SetPartition.from_blocks(b)`` is
 ``parse_ordered(t).canonical()``.  Words built valid go through the
 private ``_Value._trusted``, or for the enumerators the same store
 inline, without a second check: ``canonical``, the accepted texts of
-``parse_ordered``, ``motzkin.decode`` and the images of
-``bijections.phi`` and ``bijections.phi_i``.
+``parse_ordered``, ``_write_word`` (``motzkin.decode`` and the images
+of ``bijections.phi``) and the images of ``bijections.phi_i``.
 """
 
 from __future__ import annotations
@@ -585,6 +600,60 @@ def _step_pass(p: SetPartition) -> tuple[Step, ...]:
             else:
                 steps.append(e[pos + 1])
     return tuple(steps)
+
+
+def _reverse_read(steps: Sequence[Step]) -> tuple[list[Step], list[int], list[int]]:
+    """The mirrored steps, and where their blocks start and end: see the module docstring."""
+    se = _se_steps(len(steps) // 2)
+    out = list(reversed(steps))  # E steps stay as they are
+    pending, starts, ends = [], [], []  # pending: the labels of the SE steps not yet paired
+    for i, step in enumerate(out):  # (kind, label, starred), read by index
+        kind = step[0]
+        if kind == SE:
+            out[i] = _NE1
+            pending.append(step[1])
+            starts.append(i)
+        elif kind == NE:
+            out[i] = se[pending.pop()]
+            ends.append(i)
+        elif step[2]:
+            starts.append(i)
+            ends.append(i)
+    return out, starts, ends
+
+
+def _write_word(steps: Iterable[Step]) -> SetPartition:
+    """The canonical partition whose path has these steps: see the module docstring."""
+    word: list[int] = []
+    incomplete = [0]  # slot 0 is no block; slot g holds the g-th incomplete block
+    top = 0
+    try:
+        for step in steps:  # (kind, label, starred), read by index
+            kind = step[0]
+            if kind == NE:
+                top += 1
+                word.append(top)
+                incomplete.append(top)
+            elif kind == SE:
+                g = step[1]
+                if g < 1:
+                    raise IndexError  # as a label above the height does
+                word.append(incomplete.pop(g))
+            elif step[2]:
+                top += 1
+                word.append(top)
+            else:
+                g = step[1]
+                if g < 1:
+                    raise IndexError
+                word.append(incomplete[g])
+    except IndexError:
+        h = len(incomplete) - 1
+        message = f"element {len(word) + 1}: gamma {step[1]} outside the {h} incomplete blocks"
+        raise ConsistencyError(message) from None
+    if len(incomplete) > 1:
+        raise ConsistencyError("profile ends with unclosed blocks")
+    return SetPartition._trusted(tuple(word))
 
 
 def trace_profile(p: SetPartition) -> TraceProfile:

@@ -17,23 +17,23 @@ length n is the n-th Bell number.
 
 ``reflect`` mirrors a path left to right: NE and SE swap, E steps keep
 their label and star at the mirrored position, and each output SE step
-(sitting where an input NE step was) takes the label of the SE step
-that closes that NE step, found with a stack of open NE steps.  NE
-steps leaving height h and SE steps leaving height h+1 alternate, so
-this is the level pairing "leftmost unpaired SE step leaving height
-h+1".  Decoding the reflection of the encoding of p gives exactly
-``bijections.phi(p)``.
+takes the label of the SE step that closes the NE step it replaces, the
+level pairing "leftmost unpaired SE step leaving height h+1".  It is the
+reverse reader and ``decode`` the word writer of ``core``
+(``_reverse_read``, ``_write_word``, described there), which
+``bijections.phi`` composes, so decode(reflect(encode(p))) is phi(p).
 
 Validation happens at the boundary only: the ``LabeledMotzkinPath``
 constructor, ``parse``, ``from_json_dict`` and ``reflect`` check every
-step.  ``encode`` takes the steps that the partition's one profile pass
+step (``_checked``; ``reflect`` checks its input before it reads it).
+``encode`` takes the steps that the partition's one profile pass
 wrote (``core._path_steps``; ``core.trace_profile`` is read off the same
 steps), and ``enumerate_paths`` builds its paths by steps after which
 the path can still return to 0; both are valid by construction and go
 through the private ``_trusted`` of ``core._Value``, the one
 frozen-value base that ``LabeledMotzkinPath`` shares with the
 partitions.  ``decode`` trusts its path, checked or built valid when it
-was made.
+was made; on an unchecked one, the checks name what the writer refuses.
 
 ``enumerate_paths`` numbers the choices of a step leaving height h as
 SE(1..h), E(1..h), E(1*), NE, and lists the paths in lexicographic order
@@ -49,25 +49,54 @@ and JSON steps carry kind strings of their own.  Equal steps are shared:
 core's profile pass, which ``encode`` reads, and ``enumerate_paths``
 take the SE and plain E step of each label from two process-wide tables
 (``core._growing``) that they grow to n // 2, the greatest height at
-length n; ``reflect`` reuses the first input SE step of each label.
-``parse``, ``from_json_dict`` and ``reflect`` never touch the tables, so
-no unchecked label can grow them.
+length n, and the reverse reader writes its SE steps from the same
+table.  ``parse`` and ``from_json_dict`` never touch the tables, and
+``reflect`` reads them only after its check, so no unchecked label can
+grow them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from typing import Iterable, Iterator
 
-from .core import E, NE, SE, SetPartition, Step, _E1_STAR, _NE1, _Value
-from .core import _e_steps, _path_steps, _se_steps
+from .core import E, NE, SE, ConsistencyError, SetPartition, Step, _E1_STAR, _NE1, _Value
+from .core import _e_steps, _path_steps, _reverse_read, _se_steps, _write_word
 
 _KINDS = (NE, SE, E)
 
 
 class PathError(ValueError):
     """An invalid labeled Motzkin path; mentions the offending step."""
+
+
+def _checked(steps: Iterable[Step]) -> tuple[Step, ...]:
+    """``steps`` as a tuple once each passes the path checks, or a PathError naming the first."""
+    steps = tuple(steps)
+    h = 0
+    for idx, (kind, label, starred) in enumerate(steps, start=1):
+        if kind not in _KINDS:
+            raise PathError(f"step {idx}: unknown kind {kind!r}")
+        if starred and kind != E:
+            raise PathError(f"step {idx}: only E steps may be starred")
+        if kind == NE:
+            if label != 1:
+                raise PathError(f"step {idx}: NE steps carry label 1")
+            h += 1
+        elif starred:
+            if label != 1:
+                raise PathError(f"step {idx}: starred E steps carry label 1")
+        else:
+            # SE or plain E leaving height h
+            if not 1 <= label <= h:
+                raise PathError(f"step {idx}: label {label} outside [1, {h}]")
+            if kind == SE:
+                h -= 1
+    if h != 0:
+        raise PathError(f"path ends at height {h}, not 0")
+    return steps
 
 
 class LabeledMotzkinPath(_Value):
@@ -78,52 +107,18 @@ class LabeledMotzkinPath(_Value):
     __match_args__ = ("steps",)
 
     def __init__(self, steps: Iterable[Step]):
-        steps = tuple(steps)
-        h = 0
-        for idx, (kind, label, starred) in enumerate(steps, start=1):
-            if kind not in _KINDS:
-                raise PathError(f"step {idx}: unknown kind {kind!r}")
-            if starred and kind != E:
-                raise PathError(f"step {idx}: only E steps may be starred")
-            if kind == NE:
-                if label != 1:
-                    raise PathError(f"step {idx}: NE steps carry label 1")
-                h += 1
-            elif starred:
-                if label != 1:
-                    raise PathError(f"step {idx}: starred E steps carry label 1")
-            else:
-                # SE or plain E leaving height h
-                if not 1 <= label <= h:
-                    raise PathError(f"step {idx}: label {label} outside [1, {h}]")
-                if kind == SE:
-                    h -= 1
-        if h != 0:
-            raise PathError(f"path ends at height {h}, not 0")
-        self.__dict__["steps"] = steps
+        self.__dict__["steps"] = _checked(steps)
 
     def heights(self) -> tuple[int, ...]:
         """Height before each step (prepended start height 0 excluded)."""
-        out = []
-        h = 0
-        for step in self.steps:
-            out.append(h)
-            if step.kind == NE:
-                h += 1
-            elif step.kind == SE:
-                h -= 1
-        return tuple(out)
+        moves = [(step.kind == NE) - (step.kind == SE) for step in self.steps]
+        return tuple(itertools.accumulate(moves, initial=0))[:-1]
 
     def text(self) -> str:
         return " ".join(step.text() for step in self.steps)
 
     def to_json_dict(self) -> dict:
-        return {
-            "steps": [
-                {"kind": s.kind, "label": s.label, "starred": s.starred}
-                for s in self.steps
-            ]
-        }
+        return {"steps": [step._asdict() for step in self.steps]}
 
     @classmethod
     def from_json_dict(cls, data) -> "LabeledMotzkinPath":
@@ -184,62 +179,20 @@ def encode(p: SetPartition) -> LabeledMotzkinPath:
 
 
 def decode(path: LabeledMotzkinPath) -> SetPartition:
-    """The partition whose encoding is ``path``, in one pass: an NE or
-    starred E step opens a block, incomplete for NE; an SE or plain E
-    step joins the label-th incomplete block from the left, SE sealing it."""
-    word: list[int] = []
-    incomplete: list[int] = []  # the incomplete blocks, ascending
-    top = 0
+    """The partition whose encoding is ``path``: the word writer
+    ``core._write_word`` over its steps."""
     try:
-        for step in path.steps:  # (kind, label, starred), read by index
-            kind = step[0]
-            if kind == NE:
-                top += 1
-                word.append(top)
-                incomplete.append(top)
-            elif kind == SE:
-                word.append(incomplete.pop(step[1] - 1))
-            elif step[2]:
-                top += 1
-                word.append(top)
-            else:
-                word.append(incomplete[step[1] - 1])
-    except IndexError:
-        # a label above the height, on an unchecked path: the checks name it
-        LabeledMotzkinPath(path.steps)
+        return _write_word(path.steps)
+    except ConsistencyError:
+        # an unchecked path: the checks name the step the writer refused
+        _checked(path.steps)
         raise
-    return SetPartition._trusted(tuple(word))
 
 
 def reflect(path: LabeledMotzkinPath) -> LabeledMotzkinPath:
-    """Mirror the path in a vertical axis.
-
-    NE and SE swap kinds; E steps keep label and star at the mirrored
-    position.  Each output SE step inherits the label of the input SE
-    step that closes the NE step it replaces: a left-to-right pass keeps
-    a stack of open NE steps, and each SE step pops the one it closes.
-    """
-    steps = path.steps
-    # Written left to right, then reversed.
-    out = list(steps)
-    se: dict[int, Step] = {}
-    opened = []  # positions of the NE steps not yet closed, innermost last
-    try:
-        for idx, step in enumerate(steps):
-            kind = step[0]
-            if kind == NE:
-                opened.append(idx)
-            elif kind == SE:
-                out[opened.pop()] = se.setdefault(step[1], step)
-                out[idx] = _NE1
-    except IndexError:
-        # an SE step below height 0, on an unchecked path: the checks name it
-        LabeledMotzkinPath(steps)
-        raise
-    if opened:
-        raise PathError("step %d: no matching SE step at height 1" % (opened[0] + 1))
-    out.reverse()
-    return LabeledMotzkinPath(tuple(out))
+    """Mirror the path in a vertical axis: the reverse reader
+    ``core._reverse_read`` over its steps, once they pass the checks."""
+    return LabeledMotzkinPath._trusted(tuple(_reverse_read(_checked(path.steps))[0]))
 
 
 def enumerate_paths(n: int) -> Iterator[LabeledMotzkinPath]:
@@ -282,9 +235,7 @@ def ascii_art(path: LabeledMotzkinPath) -> str:
     if not path.steps:
         return "(empty path)"
     heights = path.heights()
-    top = max(
-        h + (1 if s.kind == NE else 0) for s, h in zip(path.steps, heights)
-    )
+    top = max(h + (s.kind == NE) for s, h in zip(path.steps, heights))
     labels = [f"{s.label}*" if s.starred else str(s.label) for s in path.steps]
     width = max(2, max(len(lbl) for lbl in labels) + 1)
     rows = []

@@ -398,13 +398,12 @@ def _motzkin_reflect(p: core.SetPartition) -> Iterator[tuple[str, str]]:
     try:
         path = motzkin.encode(p)
         mirror = motzkin.reflect(path)
-        via_paths = motzkin.decode(mirror)
-        direct = bijections.phi(p)
+        direct = motzkin.encode(bijections.phi(p))  # the forward pass over phi's word
     except caught as exc:
         yield "phi via paths = phi", f"raised: {exc}"
         return
-    if via_paths != direct:
-        yield direct.text(), via_paths.text()
+    if mirror.steps != direct.steps:
+        yield direct.text(), mirror.text()
     try:
         twice = motzkin.reflect(mirror)
     except caught as exc:

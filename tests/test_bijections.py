@@ -1,5 +1,4 @@
 import inspect
-from types import SimpleNamespace
 
 import pytest
 
@@ -128,42 +127,45 @@ def test_phi_builds_no_view_of_its_image():
 
 
 def test_phi_checks_the_image_against_the_written_roles(monkeypatch):
-    # an image whose word shows other roles than the pass wrote must not
+    # an image whose word shows other roles than the reader filed must not
     # pass: the first and last occurrences are read off the built word
     p = parse_partition("1,4,8/2/3,7,9/5,6")
     for wrong in ("1,2,3,4,5,6,7,8,9", "1/2/3/4/5/6/7/8/9", p.text()):
         built = parse_partition(wrong)
-        monkeypatch.setattr(bijections, "SetPartition", SimpleNamespace(_trusted=lambda w: built))
+        monkeypatch.setattr(bijections, "_write_word", lambda steps: built)
         with pytest.raises(ConsistencyError) as info:
             phi_certificate(p)
         assert str(info.value) == "image classification does not mirror the source"
 
 
-def _mutant(old: str, new: str):
-    # the mirror pass with one source line edited, run in bijections' namespace
-    source = inspect.getsource(bijections._mirror)
+def _mutant(monkeypatch, old: str, new: str):
+    # phi with one source line of the reverse reader or the word writer
+    # edited, the edited function run in core's namespace
+    names = ("_reverse_read", "_write_word")
+    sources = {name: inspect.getsource(getattr(core, name)) for name in names}
+    ((name, source),) = [(name, source) for name, source in sources.items() if old in source]
     assert source.count(old) == 1, old
-    namespace = dict(vars(bijections))
+    namespace = dict(vars(core))
     exec(source.replace(old, new), namespace)
-    return namespace["_mirror"]
+    monkeypatch.setattr(bijections, name, namespace[name])
 
 
-# An edit of the mirror pass, and how many of the 1,156 partitions with
-# n <= 7 it makes raise ConsistencyError.
+# An edit of the reverse reader or the word writer, and how many of the
+# 1,156 partitions with n <= 7 it makes phi raise ConsistencyError.
 _MIRROR_MUTANTS = {
     "a passant pops its block": (
-        "incomplete.pop(g - 1) if kind == NE else incomplete[g - 1]",
-        "incomplete.pop(g - 1)",
+        "word.append(incomplete[g])",
+        "word.append(incomplete.pop(g))",
         804,
     ),
     "a closer leaves its block open": (
-        "incomplete.pop(g - 1) if kind == NE else incomplete[g - 1]",
-        "incomplete[g - 1]",
+        "word.append(incomplete.pop(g))",
+        "word.append(incomplete[g])",
         1148,
     ),
     "a singleton is not filed as an end": (
-        "starts.append(b)\n            ends.append(b)",
-        "starts.append(b)",
+        "starts.append(i)\n            ends.append(i)",
+        "starts.append(i)",
         935,
     ),
     "the first pending gamma instead of the last": ("pending.pop()", "pending.pop(0)", 406),
@@ -171,14 +173,14 @@ _MIRROR_MUTANTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_MIRROR_MUTANTS))
-def test_phi_mutants_raise(name):
+def test_phi_mutants_raise(name, monkeypatch):
     old, new, want = _MIRROR_MUTANTS[name]
-    mutant = _mutant(old, new)
+    _mutant(monkeypatch, old, new)
     raised = 0
     for n in range(8):
         for p in enumerate_partitions(n):
             try:
-                mutant(p)
+                phi(p)
             except ConsistencyError:
                 raised += 1
     assert raised == want

@@ -882,17 +882,19 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
 
 def test_cli_start_up_loads_only_what_each_command_runs():
     # importing the CLI loads core alone; each command then imports the
-    # modules it runs, so the short ones never load verify or qseries
+    # modules it runs, so the short ones never load verify or qseries, and
+    # phi, whose path reader and writer live in core, never loads motzkin
     probe = (
         "import sys, io, contextlib; before = set(sys.modules); import setpart.cli; "
         "print(sorted(m for m in set(sys.modules) - before if m.startswith('setpart')))\n"
         "with contextlib.redirect_stdout(io.StringIO()): setpart.cli.main(sys.argv[1:])\n"
-        "print(sorted(m for m in sys.modules if m in ('setpart.verify', 'setpart.qseries')))"
+        "print(sorted(m for m in sys.modules if m in "
+        "('setpart.verify', 'setpart.qseries', 'setpart.motzkin')))"
     )
     runs = {
         ("phi", "1,4,8/2/3,7,9/5,6"): [],
         ("stats", "1,4,8/2/3,7,9/5,6"): [],
-        ("motzkin", "1,4,8/2/3,7,9/5,6"): [],
+        ("motzkin", "1,4,8/2/3,7,9/5,6"): ["setpart.motzkin"],
         ("qstirling", "-n", "4"): ["setpart.qseries"],
     }
     for argv, loaded in runs.items():

@@ -287,14 +287,29 @@ def test_unchecked_paths_end_in_a_path_error():
     for route in (decode, reflect):
         with pytest.raises(PathError, match="^step 1: label 1 outside \\[1, 0\\]$"):
             route(below)
-    with pytest.raises(PathError, match="^step 1: no matching SE step at height 1$"):
-        reflect(LabeledMotzkinPath._trusted((Step(NE, 1), Step(E, 1))))
+    # a label of 0, which would read the rightmost incomplete block
+    zero_se = LabeledMotzkinPath._trusted((Step(NE, 1), Step(SE, 0)))
+    zero_e = LabeledMotzkinPath._trusted(
+        (Step(NE, 1), Step(NE, 1), Step(E, 0), Step(SE, 1), Step(SE, 1))
+    )
+    for route in (decode, reflect):
+        with pytest.raises(PathError, match="^step 2: label 0 outside \\[1, 1\\]$"):
+            route(zero_se)
+        with pytest.raises(PathError, match="^step 3: label 0 outside \\[1, 2\\]$"):
+            route(zero_e)
+    # an NE step that no SE step closes
+    unclosed = LabeledMotzkinPath._trusted((Step(NE, 1), Step(E, 1)))
+    for route in (decode, reflect):
+        with pytest.raises(PathError, match="^path ends at height 1, not 0$"):
+            route(unclosed)
 
 
 def test_path_route_matches_direct_involution():
     for n in range(7):
         for p in enumerate_partitions(n):
             assert decode(reflect(encode(p))) == phi(p)
+            # phi's reader and writer against the forward pass over its image
+            assert reflect(encode(p)) == encode(phi(p))
 
 
 def test_path_counts():

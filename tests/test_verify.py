@@ -224,7 +224,7 @@ _PATH_FAULTS = {
             "FAIL 1,4/2,3: expected decode(encode(p)) = p, got raised: step 3: label 3 outside [1, 2]",
             "FAIL 1,2: expected phi via paths = phi, got raised: step 2: label 2 outside [1, 1]",
         ],
-        89,
+        88,
     ),
 }
 
